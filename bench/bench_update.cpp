@@ -123,8 +123,8 @@ int main(int argc, char** argv) {
   // Incremental updates need the insertion-stable edge placement.
   const LinkPredictor predictor(cfg, cluster,
                                 gas::PartitionStrategy::kEdgeLocal);
-  // Partition with cfg.seed, as LinkPredictor::fit would, so
-  // DynamicModel's defaulted partition_seed matches the placements.
+  // Partition with cfg.seed, as LinkPredictor::fit would — the seed
+  // DynamicModel verifies the placements against.
   const auto base_part = gas::Partitioning::create(
       *base_graph, cluster.num_machines, gas::PartitionStrategy::kEdgeLocal,
       cfg.seed);
@@ -147,8 +147,7 @@ int main(int argc, char** argv) {
   // ---- Wrap + inserts, one at a time and batched. ----
   std::unique_ptr<DynamicModel> dyn;
   const double wrap_s = time_best([&] {
-    dyn = std::make_unique<DynamicModel>(base_model, base_graph,
-                                         std::nullopt, pool);
+    dyn = std::make_unique<DynamicModel>(base_model, base_graph, pool);
   });
 
   DynamicModel::UpdateStats totals;
@@ -164,7 +163,7 @@ int main(int argc, char** argv) {
   const double insert_us =
       insert_s * 1e6 / static_cast<double>(inserts.size());
 
-  DynamicModel batched(base_model, base_graph, std::nullopt, pool);
+  DynamicModel batched(base_model, base_graph, pool);
   WallTimer batch_timer;
   for (std::size_t at = 0; at < inserts.size(); at += 64) {
     const std::size_t len = std::min<std::size_t>(64, inserts.size() - at);
@@ -206,7 +205,7 @@ int main(int argc, char** argv) {
 
   // Writer burst on a third model (the first two already hold the
   // inserts); one reader thread measures latency while it runs.
-  DynamicModel bursty(base_model, base_graph, std::nullopt, pool);
+  DynamicModel bursty(base_model, base_graph, pool);
   const QueryEngine busy{unowned(bursty)};
   std::atomic<bool> done{false};
   std::atomic<std::uint64_t> burst_queries{0};
@@ -261,7 +260,7 @@ int main(int argc, char** argv) {
   // every insert also exercising the removal path once it slides out;
   // per-op latency is the staleness window (arrival -> model updated).
   const std::size_t window = std::max<std::size_t>(1, inserts.size() / 2);
-  DynamicModel windowed(base_model, base_graph, std::nullopt, pool);
+  DynamicModel windowed(base_model, base_graph, pool);
   std::vector<double> op_us;
   op_us.reserve(2 * inserts.size());
   std::size_t window_rows = 0;

@@ -228,16 +228,12 @@ int serve_queries(Server& server, const std::string& query_list,
 /// --serve-shards: stands up a ServingCluster over the finished model
 /// and answers --query through the router, so every answer crosses the
 /// chosen byte transport. cache_mb > 0 switches the cluster to
-/// remote-fetch locality with a hot-row cache per shard (keyed by
-/// `row_versions` when serving a freeze()d updated model).
+/// remote-fetch locality with a hot-row cache per shard.
 int serve_sharded(const snaple::PredictorModel& model, std::size_t shards,
                   snaple::serve::TransportKind transport,
                   std::uint16_t tcp_port, std::size_t cache_mb,
-                  std::size_t batch,
-                  std::shared_ptr<const std::vector<std::uint64_t>>
-                      row_versions,
-                  const std::string& query_list, std::size_t k,
-                  std::ostream& out) {
+                  std::size_t batch, const std::string& query_list,
+                  std::size_t k, std::ostream& out) {
   using namespace snaple::serve;
   ServeOptions options;
   options.num_shards = shards;
@@ -246,7 +242,6 @@ int serve_sharded(const snaple::PredictorModel& model, std::size_t shards,
   if (cache_mb > 0) {
     options.colocate = false;  // the cache lives on the fetch path
     options.cache_bytes = cache_mb << 20;
-    options.row_versions = std::move(row_versions);
   }
   ServingCluster cluster(model, options);
   std::cerr << "serving over " << shards << " shards ("
@@ -825,7 +820,7 @@ int main(int argc, char** argv) {
     if (serve_shards > 0) {
       return serve_sharded(*model, serve_shards, serve_transport,
                            serve_tcp_port, serve_cache_mb, serve_batch,
-                           nullptr, query_list, serve_k, *out);
+                           query_list, serve_k, *out);
     }
     const QueryEngine server(model);
     return serve_queries(server, query_list, serve_k, serve_batch, *out);
@@ -1017,11 +1012,11 @@ int main(int argc, char** argv) {
       std::shared_ptr<DynamicModel> wrapped;
       UpdateReport report;
       try {
-        // The partitioning above was created with config.seed, which is
-        // also DynamicModel's default placement seed.
+        // The partitioning above was created with config.seed, the
+        // placement seed DynamicModel verifies against.
         wrapped = std::make_shared<DynamicModel>(
             std::make_shared<const PredictorModel>(std::move(model)),
-            shared_graph, std::nullopt, pool);
+            shared_graph, pool);
         report = stream_updates(*wrapped, updates, update_window);
       } catch (const CheckError& e) {
         std::cerr << "update failed: " << e.what() << "\n";
@@ -1083,7 +1078,7 @@ int main(int argc, char** argv) {
       if (serve_shards > 0) {
         return serve_sharded(model, serve_shards, serve_transport,
                              serve_tcp_port, serve_cache_mb, serve_batch,
-                             nullptr, query_list, 0, *out);
+                             query_list, 0, *out);
       }
       const QueryEngine server(
           std::make_shared<const PredictorModel>(std::move(model)));

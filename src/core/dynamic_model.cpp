@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <unordered_map>
 #include <utility>
 
 #include "core/row_recompute.hpp"
@@ -28,16 +29,52 @@ std::shared_ptr<const PredictorModel> require_model(
 
 }  // namespace
 
+/// Per-apply memo of on-the-fly recomputed NON-owned dependency rows
+/// (map elements keep their address across rehashes, so spans into the
+/// slabs stay valid for the whole apply).
+struct DynamicModel::DependencyMemo {
+  std::unordered_map<VertexId, std::unique_ptr<RowSlab>> gamma;
+  std::unordered_map<VertexId, std::unique_ptr<RowSlab>> sims;
+};
+
+/// Current-row source for the hop2 recompute fold
+/// (rows::fold_vertex_paths): the freshest view of any vertex — owned
+/// table, per-apply memo, or base. hop2() is never read by the kHop2
+/// fold (and must not be: a non-owned hop2 row is not recomputable
+/// without the same fold this source is feeding).
+struct DynamicModel::FoldSource {
+  const DynamicModel* model;
+  DependencyMemo* memo;
+
+  [[nodiscard]] std::span<const VertexId> gamma_hat(VertexId u) const {
+    return model->current_gamma(u, *memo);
+  }
+  [[nodiscard]] PredictorModel::SimsView sims(VertexId v) const {
+    return model->current_sims(v, *memo);
+  }
+  [[nodiscard]] PredictorModel::Hop2View hop2(VertexId) const {
+    SNAPLE_CHECK_MSG(false,
+                     "the hop2 recompute fold never reads hop2 rows");
+    return {};
+  }
+  [[nodiscard]] const SnapleConfig& config() const {
+    return model->config();
+  }
+};
+
 DynamicModel::DynamicModel(std::shared_ptr<const PredictorModel> base,
                            std::shared_ptr<const CsrGraph> graph,
-                           std::optional<std::uint64_t> partition_seed,
-                           ThreadPool* pool)
+                           ThreadPool* pool,
+                           std::optional<gas::VertexRange> range)
     : base_(require_model(std::move(base))),
       overlay_(require_graph(std::move(graph))),
-      partition_seed_(partition_seed.value_or(base_->config().seed)) {
+      range_(range.value_or(gas::VertexRange{0, base_->num_vertices()})) {
   SNAPLE_CHECK_MSG(overlay_.num_vertices() == base_->num_vertices(),
                    "graph and model disagree on the vertex count — this "
                    "is not the graph the model was fit on");
+  SNAPLE_CHECK_MSG(range_.end <= base_->num_vertices() &&
+                       range_.begin <= range_.end,
+                   "owned range outside the model");
   SNAPLE_CHECK_MSG(
       !(base_->config().policy == SelectionPolicy::kRandom &&
         base_->config().k_hops == 3),
@@ -48,20 +85,25 @@ DynamicModel::DynamicModel(std::shared_ptr<const PredictorModel> base,
   const VertexId n = base_->num_vertices();
   score_ = base_->config().resolve_score();
   hop2_skip_zero_ = rows::hop2_zero_skip(base_->config(), score_);
-  gamma_rows_ = RowTable(n);
-  sims_rows_ = RowTable(n);
-  if (base_->config().k_hops == 3) hop2_rows_ = RowTable(n);
+  gamma_rows_ = RowTable(range_.size());
+  sims_rows_ = RowTable(range_.size());
+  if (base_->config().k_hops == 3) hop2_rows_ = RowTable(range_.size());
   row_version_ = std::make_unique<std::atomic<std::uint64_t>[]>(n);
+  gamma_dirty_.assign(n, 0);
+  sims_dirty_.assign(n, 0);
 
-  // Verify every base tag against the insertion-stable placement rule
-  // and every retained neighbor against the graph. Fits made with
-  // kHash/kGreedy on >1 machine fail here by design: their tags key on
-  // CSR edge positions, which an insert would shift, breaking the
-  // refit-equivalence contract. Single-machine fits always pass.
+  // Verify every owned base tag against the insertion-stable placement
+  // rule and every retained neighbor against the graph (instances whose
+  // ranges partition the vertices verify the whole model between them).
+  // Fits made with kHash/kGreedy on >1 machine fail here by design:
+  // their tags key on CSR edge positions, which an insert would shift,
+  // breaking the refit-equivalence contract. Single-machine fits always
+  // pass.
   const std::uint32_t machines = base_->num_machines();
+  const std::uint64_t seed = base_->config().seed;
   ThreadPool& tp = pool != nullptr ? *pool : default_pool();
   const CsrGraph& g = overlay_.base();
-  tp.parallel_for(0, n, [&](std::size_t i, std::size_t) {
+  tp.parallel_for(range_.begin, range_.end, [&](std::size_t i, std::size_t) {
     const auto u = static_cast<VertexId>(i);
     const auto su = base_->sims(u);
     for (std::size_t j = 0; j < su.ids.size(); ++j) {
@@ -71,25 +113,27 @@ DynamicModel::DynamicModel(std::shared_ptr<const PredictorModel> base,
                            " is not an edge of the graph — this is not "
                            "the graph the model was fit on");
       SNAPLE_CHECK_MSG(
-          su.machines[j] == gas::edge_local_machine(u, su.ids[j], machines,
-                                                    partition_seed_),
+          su.machines[j] ==
+              gas::edge_local_machine(u, su.ids[j], machines, seed),
           "machine tag of edge (" + std::to_string(u) + ", " +
               std::to_string(su.ids[j]) +
               ") does not follow the insertion-stable placement — fit "
               "with gas::PartitionStrategy::kEdgeLocal (seed " +
-              std::to_string(partition_seed_) +
-              ") to serve incremental updates");
+              std::to_string(seed) + ") to serve incremental updates");
     }
   });
+}
+
+void DynamicModel::not_owned(VertexId u) const {
+  throw CheckError("rows of vertex " + std::to_string(u) +
+                   " are not owned here (owned range [" +
+                   std::to_string(range_.begin) + ", " +
+                   std::to_string(range_.end) + "))");
 }
 
 // ---------------------------------------------------------------------
 // Writer path.
 // ---------------------------------------------------------------------
-
-void DynamicModel::validate_batch(std::span<const Edge> batch) const {
-  rows::validate_insert_batch(overlay_, batch);
-}
 
 DynamicModel::UpdateStats DynamicModel::add_edge(VertexId u, VertexId v) {
   const Edge e{u, v};
@@ -100,9 +144,9 @@ DynamicModel::UpdateStats DynamicModel::add_edges(
     std::span<const Edge> batch) {
   // All-or-nothing: the whole batch is validated before the first
   // overlay mutation, so a throw leaves the model untouched.
-  validate_batch(batch);
-  if (batch.empty()) return {};
-  return apply_validated(batch);
+  rows::validate_insert_batch(overlay_, batch);
+  for (const Edge& e : batch) overlay_.insert(e.src, e.dst);
+  return republish_stale(batch);
 }
 
 DynamicModel::UpdateStats DynamicModel::remove_edge(VertexId u,
@@ -114,24 +158,52 @@ DynamicModel::UpdateStats DynamicModel::remove_edge(VertexId u,
 DynamicModel::UpdateStats DynamicModel::remove_edges(
     std::span<const Edge> batch) {
   rows::validate_remove_batch(overlay_, batch);
-  if (batch.empty()) return {};
-  return apply_removes_validated(batch);
-}
-
-DynamicModel::UpdateStats DynamicModel::apply_validated(
-    std::span<const Edge> batch) {
-  for (const Edge& e : batch) overlay_.insert(e.src, e.dst);
-  return republish_stale(batch);
-}
-
-DynamicModel::UpdateStats DynamicModel::apply_removes_validated(
-    std::span<const Edge> batch) {
   for (const Edge& e : batch) overlay_.remove(e.src, e.dst);
   return republish_stale(batch);
 }
 
+std::span<const VertexId> DynamicModel::current_gamma(
+    VertexId v, DependencyMemo& memo) const {
+  const RowSlab* s = nullptr;
+  if (owns(v)) {
+    s = gamma_rows_[v - range_.begin].load(std::memory_order_relaxed);
+  } else if (gamma_dirty_[v]) {
+    std::unique_ptr<RowSlab>& slot = memo.gamma[v];
+    if (slot == nullptr) {
+      slot = std::make_unique<RowSlab>();
+      slot->ids = rows::recompute_gamma_row(config(), overlay_, v);
+    }
+    s = slot.get();
+  }
+  if (s == nullptr) return base_->gamma_hat(v);
+  return s->ids;
+}
+
+PredictorModel::SimsView DynamicModel::current_sims(
+    VertexId v, DependencyMemo& memo) const {
+  const RowSlab* s = nullptr;
+  if (owns(v)) {
+    s = sims_rows_[v - range_.begin].load(std::memory_order_relaxed);
+  } else if (sims_dirty_[v]) {
+    std::unique_ptr<RowSlab>& slot = memo.sims[v];
+    if (slot == nullptr) {
+      slot = rows::recompute_sims_row(
+          config(), score_, overlay_, num_machines(), v,
+          [&](VertexId w) { return current_gamma(w, memo); });
+    }
+    s = slot.get();
+  }
+  if (s == nullptr) return base_->sims(v);
+  return {s->ids, s->scores, s->machines};
+}
+
 DynamicModel::UpdateStats DynamicModel::republish_stale(
     std::span<const Edge> batch) {
+  UpdateStats out;
+  if (batch.empty()) {
+    out.version = version_.load(std::memory_order_relaxed);
+    return out;
+  }
   // Stale-row sets against the post-batch live graph (row_recompute.hpp
   // derives them, and proves the same sets cover removals): Γ̂ stales
   // only at the sources; sims at the sources and their
@@ -139,60 +211,66 @@ DynamicModel::UpdateStats DynamicModel::republish_stale(
   const rows::StaleSets stale =
       rows::compute_stale_sets(overlay_, batch, !hop2_rows_.empty());
 
-  // Recompute in dependency order — each phase reads rows the previous
-  // phase already published (same thread, plain program order; readers
-  // see each row flip atomically).
+  // Dirty flags first: the recomputes below must see every non-owned
+  // dependency of THIS batch as stale (cumulative across applies — a
+  // non-owned row is never republished here, so once stale it is
+  // recomputed on the fly forever after).
+  for (const VertexId u : stale.gamma) gamma_dirty_[u] = 1;
+  for (const VertexId x : stale.sims) sims_dirty_[x] = 1;
+
+  // Recompute the OWNED stale rows in dependency order — each phase
+  // reads rows the previous phase already published (same thread, plain
+  // program order; readers see each row flip atomically).
+  out.edges = batch.size();
+  DependencyMemo memo;
   for (const VertexId u : stale.gamma) {
+    if (!owns(u)) continue;
     auto slab = std::make_unique<RowSlab>();
-    slab->ids = compute_gamma_row(u);
+    slab->ids = rows::recompute_gamma_row(config(), overlay_, u);
     publish(gamma_rows_, u, std::move(slab));
+    ++out.gamma_rows;
   }
   for (const VertexId x : stale.sims) {
-    publish(sims_rows_, x, compute_sims_row(x));
+    if (!owns(x)) continue;
+    publish(sims_rows_, x,
+            rows::recompute_sims_row(
+                config(), score_, overlay_, num_machines(), x,
+                [&](VertexId w) { return current_gamma(w, memo); }));
+    ++out.sims_rows;
   }
   if (!hop2_rows_.empty()) {
-    rows::PathFoldScratch scratch;
+    const FoldSource source{this, &memo};
+    rows::PathFoldScratch& fold = rows::thread_scratch();
     for (const VertexId x : stale.hop2) {
-      publish(hop2_rows_, x, compute_hop2_row(x, scratch));
+      if (!owns(x)) continue;
+      publish(hop2_rows_, x,
+              rows::recompute_hop2_row(source, score_, hop2_skip_zero_, x,
+                                       fold));
+      ++out.hop2_rows;
     }
   }
 
-  version_.fetch_add(batch.size(), std::memory_order_release);
-  return UpdateStats{batch.size(), stale.gamma.size(), stale.sims.size(),
-                     stale.hop2.size()};
-}
-
-// ---------------------------------------------------------------------
-// Row recomputes — bit-identical to what a from-scratch fit on the
-// live graph computes for the same row (snaple_rows.hpp kernels).
-// ---------------------------------------------------------------------
-
-std::vector<VertexId> DynamicModel::compute_gamma_row(VertexId u) const {
-  return rows::recompute_gamma_row(base_->config(), overlay_, u);
-}
-
-std::unique_ptr<DynamicModel::RowSlab> DynamicModel::compute_sims_row(
-    VertexId x) const {
-  // This model's gamma_hat() already resolves published-over-base rows,
-  // so it IS the current-row source the shared kernel needs.
-  return rows::recompute_sims_row(
-      base_->config(), score_, overlay_, base_->num_machines(),
-      partition_seed_, x, [this](VertexId v) { return gamma_hat(v); });
-}
-
-std::unique_ptr<DynamicModel::RowSlab> DynamicModel::compute_hop2_row(
-    VertexId x, rows::PathFoldScratch& scratch) const {
-  // The fold reads this model's (already republished) sims rows.
-  return rows::recompute_hop2_row(*this, score_, hop2_skip_zero_, x,
-                                  scratch);
+  // Version bumps AFTER the publishes (release ordering: a reader that
+  // observes a bumped version also observes the republished rows — the
+  // invariant a versioned fetch's retry loop and the cache keys rest
+  // on). Bumps cover every stale vertex, owned or not, so all instances
+  // agree on every version.
+  for (const auto* set : {&stale.gamma, &stale.sims, &stale.hop2}) {
+    for (const VertexId v : *set) {
+      row_version_[v].fetch_add(1, std::memory_order_release);
+    }
+  }
+  out.version = version_.fetch_add(batch.size(),
+                                   std::memory_order_release) +
+                batch.size();
+  return out;
 }
 
 void DynamicModel::publish(RowTable& table, VertexId u,
                            std::unique_ptr<RowSlab> slab) {
   const RowSlab* p = slab.get();
   slabs_.push_back(std::move(slab));  // retired slabs stay owned forever
-  table[u].store(p, std::memory_order_release);
-  row_version_[u].fetch_add(1, std::memory_order_release);
+  table[u - range_.begin].store(p, std::memory_order_release);
 }
 
 // ---------------------------------------------------------------------
@@ -201,6 +279,9 @@ void DynamicModel::publish(RowTable& table, VertexId u,
 
 PredictorModel DynamicModel::freeze() const {
   const VertexId n = num_vertices();
+  SNAPLE_CHECK_MSG(range_.size() == n,
+                   "freeze() needs every row — this model owns only a "
+                   "range of them");
   const bool three_hop = base_->config().k_hops == 3;
   PredictorModel m;
   m.config_ = base_->config();

@@ -38,9 +38,25 @@
 //     kGreedy strategies key on CSR edge *positions* or placement
 //     history, both of which shift when an edge is inserted — a refit
 //     under them would silently re-tag existing edges and the float
-//     folds would diverge. The constructor verifies every base-model
-//     tag against the rule (single-machine models always pass: every
+//     folds would diverge. The constructor verifies the owned rows'
+//     tags against the rule (single-machine models always pass: every
 //     tag is 0 under any strategy).
+//
+// Owned range: a DynamicModel republishes the rows of one contiguous
+// vertex range (gas::VertexRange, the whole model by default). That is
+// the whole difference between the single-process live model and one
+// shard of the sharded update plane (serve/live_shard.hpp wraps a
+// ranged DynamicModel): every instance holds the full live graph and
+// applies every batch, derives the same stale sets, recomputes only the
+// stale rows it OWNS, and bumps row_version for EVERY stale vertex, so
+// all instances agree on every version with no coordination. A
+// non-owned dependency of an owned recompute (sims(x) reads Γ̂ of x's
+// out-neighbors, hop2(x) reads sims of x's retained neighbors) is read
+// from the base model while clean, and recomputed on the fly from the
+// live graph, memoized per apply, once any batch staled it — every row
+// is a pure function of (live graph, config, seed), so no instance ever
+// needs another's rows. Over [0, n) nothing is non-owned and the loop
+// is the plain single-process update.
 //
 // Concurrency: single writer, any number of readers, no reader locks.
 // Each recomputed row is published as an immutable slab behind one
@@ -68,34 +84,37 @@
 #include "core/model.hpp"
 #include "core/row_recompute.hpp"
 #include "core/snaple_rows.hpp"
+#include "gas/partition.hpp"
 #include "graph/overlay_graph.hpp"
 
 namespace snaple {
 
 class DynamicModel {
  public:
-  /// What one update touched (sizes of the recomputed row sets).
+  /// What one update touched. The row counts are the rows THIS model
+  /// republished — its owned share of the stale sets (summed over
+  /// instances whose ranges partition the vertices, they give the global
+  /// stale-row counts); `version` is version() afterwards.
   struct UpdateStats {
-    std::size_t edges = 0;       // operations applied (inserts or removals)
-    std::size_t gamma_rows = 0;  // Γ̂ rows republished
-    std::size_t sims_rows = 0;   // sims rows republished
-    std::size_t hop2_rows = 0;   // hop2 rows republished (K=3 only)
+    std::uint64_t edges = 0;       // operations applied (inserts or removals)
+    std::uint64_t gamma_rows = 0;  // Γ̂ rows republished
+    std::uint64_t sims_rows = 0;   // sims rows republished
+    std::uint64_t hop2_rows = 0;   // hop2 rows republished (K=3 only)
+    std::uint64_t version = 0;
   };
 
-  /// Wraps `base` (fit on `graph`) for incremental updates. The base
-  /// model's machine tags must follow gas::edge_local_machine with
-  /// `partition_seed` — fit with PartitionStrategy::kEdgeLocal, or any
-  /// single-machine fit (verified here; throws CheckError otherwise,
-  /// and on a Γrnd policy with K=3, whose hop2 selection shuffles in
-  /// accumulator-iteration order that no replay can reproduce).
-  /// `partition_seed` defaults to the model config's seed — the seed
-  /// LinkPredictor partitions with — so fit-then-wrap works as-is;
-  /// pass it explicitly only when the Partitioning was created with a
-  /// different seed (e.g. Partitioning::create's own default of 7).
+  /// Wraps `base` (fit on `graph`) for incremental updates of the rows
+  /// in `range` (every vertex when unset). The base model's machine
+  /// tags must follow gas::edge_local_machine with the model config's
+  /// seed — the seed LinkPredictor partitions with — so fit with
+  /// PartitionStrategy::kEdgeLocal, or any single-machine fit. The
+  /// owned rows are verified here; throws CheckError otherwise, and on a
+  /// Γrnd policy with K=3, whose hop2 selection shuffles in
+  /// accumulator-iteration order that no replay can reproduce.
   DynamicModel(std::shared_ptr<const PredictorModel> base,
                std::shared_ptr<const CsrGraph> graph,
-               std::optional<std::uint64_t> partition_seed = std::nullopt,
-               ThreadPool* pool = nullptr);
+               ThreadPool* pool = nullptr,
+               std::optional<gas::VertexRange> range = std::nullopt);
 
   DynamicModel(const DynamicModel&) = delete;
   DynamicModel& operator=(const DynamicModel&) = delete;
@@ -112,7 +131,9 @@ class DynamicModel {
   /// first, then each stale row is recomputed once — cheaper than
   /// edge-at-a-time when inserts cluster, and bit-identical to it (both
   /// end at the refit-on-union state). The whole batch is validated up
-  /// front; a throwing call changes nothing.
+  /// front; a throwing call changes nothing. Validation is a pure
+  /// function of the batch and the live graph, so instances holding the
+  /// same live graph all accept or all reject.
   UpdateStats add_edges(std::span<const Edge> batch);
 
   /// Applies one edge removal and recomputes the stale rows — the same
@@ -132,47 +153,51 @@ class DynamicModel {
   /// this model's retired slabs (readers may still hold them); see the
   /// header comment for the swap-and-discard compaction pattern. Safe
   /// against concurrent readers; not against a concurrent writer.
+  /// Throws CheckError unless this model owns every vertex.
   [[nodiscard]] PredictorModel freeze() const;
 
   // ---- reader API (lock-free; same row shapes as PredictorModel) ----
+  // Rows of an OWNED vertex; throws CheckError otherwise.
 
   [[nodiscard]] std::span<const VertexId> gamma_hat(VertexId u) const {
-    SNAPLE_DCHECK(u < num_vertices());
-    if (const RowSlab* s =
-            gamma_rows_[u].load(std::memory_order_acquire)) {
-      return s->ids;
-    }
+    if (const RowSlab* s = published(gamma_rows_, u)) return s->ids;
     return base_->gamma_hat(u);
   }
 
   [[nodiscard]] PredictorModel::SimsView sims(VertexId u) const {
-    SNAPLE_DCHECK(u < num_vertices());
-    if (const RowSlab* s = sims_rows_[u].load(std::memory_order_acquire)) {
+    if (const RowSlab* s = published(sims_rows_, u)) {
       return {s->ids, s->scores, s->machines};
     }
     return base_->sims(u);
   }
 
   [[nodiscard]] PredictorModel::Hop2View hop2(VertexId u) const {
-    SNAPLE_DCHECK(u < num_vertices());
-    if (hop2_rows_.empty()) return {};  // K=2: no hop2 table at all
-    if (const RowSlab* s = hop2_rows_[u].load(std::memory_order_acquire)) {
+    if (hop2_rows_.empty()) {  // K=2: no hop2 table at all
+      if (!owns(u)) not_owned(u);
+      return {};
+    }
+    if (const RowSlab* s = published(hop2_rows_, u)) {
       return {s->ids, s->scores};
     }
     return base_->hop2(u);
   }
 
+  [[nodiscard]] const gas::VertexRange& range() const noexcept {
+    return range_;
+  }
+  [[nodiscard]] bool owns(VertexId u) const noexcept {
+    return range_.contains(u);
+  }
   [[nodiscard]] const SnapleConfig& config() const noexcept {
     return base_->config();
   }
+  /// The scoring method, resolved once from config().
+  [[nodiscard]] const ScoreConfig& score() const noexcept { return score_; }
   [[nodiscard]] VertexId num_vertices() const noexcept {
     return base_->num_vertices();
   }
   [[nodiscard]] std::uint32_t num_machines() const noexcept {
     return base_->num_machines();
-  }
-  [[nodiscard]] std::uint64_t partition_seed() const noexcept {
-    return partition_seed_;
   }
 
   /// Total applied operations — inserts plus removals (monotone;
@@ -180,8 +205,12 @@ class DynamicModel {
   [[nodiscard]] std::uint64_t version() const noexcept {
     return version_.load(std::memory_order_acquire);
   }
-  /// Times any of u's rows was republished since construction (0 = the
-  /// base model's rows are still current for u).
+  /// Times any of u's rows was republished — here or, for a non-owned
+  /// u, by its owner — since construction (0 = the base model's rows
+  /// are still current for u). Kept for EVERY vertex and bumped after
+  /// the owned rows are published: a reader that sees the new version
+  /// also sees the new rows — the invariant version-keyed row caches
+  /// rest on.
   [[nodiscard]] std::uint64_t row_version(VertexId u) const {
     SNAPLE_DCHECK(u < num_vertices());
     return row_version_[u].load(std::memory_order_acquire);
@@ -196,41 +225,59 @@ class DynamicModel {
     return overlay_;
   }
 
-  /// Bytes held beyond the base model: live + retired row slabs and the
-  /// overlay delta rows.
+  /// Bytes held beyond the model at construction: live + retired row
+  /// slabs and the overlay delta rows (0 before the first update).
   [[nodiscard]] std::size_t overlay_bytes() const noexcept;
 
  private:
-  /// One immutable published row (core/row_recompute.hpp — shared with
-  /// the sharded update plane's per-shard live backend).
+  /// One immutable published row (core/row_recompute.hpp).
   using RowSlab = rows::RowSlab;
+  /// Owned-range tables: index u - range_.begin.
   using RowTable = std::vector<std::atomic<const RowSlab*>>;
 
-  void validate_batch(std::span<const Edge> batch) const;
-  UpdateStats apply_validated(std::span<const Edge> batch);
-  UpdateStats apply_removes_validated(std::span<const Edge> batch);
-  /// Shared tail of both writer paths: stale sets against the already
-  /// mutated overlay, dependency-ordered republish, version bump.
-  UpdateStats republish_stale(std::span<const Edge> batch);
+  struct DependencyMemo;  // per-apply memo of non-owned dependency rows
+  struct FoldSource;      // current-row source for the hop2 recompute
 
-  [[nodiscard]] std::vector<VertexId> compute_gamma_row(VertexId u) const;
-  [[nodiscard]] std::unique_ptr<RowSlab> compute_sims_row(VertexId u) const;
-  [[nodiscard]] std::unique_ptr<RowSlab> compute_hop2_row(
-      VertexId u, rows::PathFoldScratch& scratch) const;
+  /// u's published slab in `table` (null = the base row is current).
+  [[nodiscard]] const RowSlab* published(const RowTable& table,
+                                         VertexId u) const {
+    if (!owns(u)) not_owned(u);
+    return table[u - range_.begin].load(std::memory_order_acquire);
+  }
+  [[noreturn]] void not_owned(VertexId u) const;
+
+  /// Writer-side current rows of ANY vertex: owned table, base, or the
+  /// per-apply memo of a dirty non-owned row.
+  [[nodiscard]] std::span<const VertexId> current_gamma(
+      VertexId v, DependencyMemo& memo) const;
+  [[nodiscard]] PredictorModel::SimsView current_sims(
+      VertexId v, DependencyMemo& memo) const;
+
+  /// Shared tail of both writer paths: stale sets against the already
+  /// mutated overlay, dirty flags, owned republishes in dependency
+  /// order, version bumps.
+  UpdateStats republish_stale(std::span<const Edge> batch);
 
   void publish(RowTable& table, VertexId u, std::unique_ptr<RowSlab> slab);
 
   std::shared_ptr<const PredictorModel> base_;
   OverlayGraph overlay_;
-  std::uint64_t partition_seed_;
-  ScoreConfig score_;       // resolved once from the model's config
-  bool hop2_skip_zero_;     // rows::hop2_zero_skip, fixed per config
+  gas::VertexRange range_;
+  ScoreConfig score_;    // resolved once from the model's config
+  bool hop2_skip_zero_;  // rows::hop2_zero_skip, fixed per config
 
-  RowTable gamma_rows_;
+  RowTable gamma_rows_;  // sized range_.size()
   RowTable sims_rows_;
-  RowTable hop2_rows_;      // empty vector for K=2 models
-  std::unique_ptr<std::atomic<std::uint64_t>[]> row_version_;
+  RowTable hop2_rows_;   // empty vector for K=2 models
+  std::unique_ptr<std::atomic<std::uint64_t>[]> row_version_;  // full n
   std::atomic<std::uint64_t> version_{0};
+
+  /// Writer-private staleness of NON-owned rows (full n): set once any
+  /// batch staled the row. A dirty dependency is recomputed on the fly;
+  /// a clean one reads the base model. Owned rows never consult these —
+  /// their tables are current.
+  std::vector<char> gamma_dirty_;
+  std::vector<char> sims_dirty_;
 
   /// Every slab ever published, live or superseded — deferred
   /// reclamation is what lets readers run without locks or epochs.

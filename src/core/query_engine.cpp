@@ -10,21 +10,6 @@
 
 namespace snaple {
 
-namespace {
-
-/// Reused fold state. One per thread: topk() must be safe for concurrent
-/// callers, and reuse keeps the hot path allocation-free in steady state
-/// exactly like the batch engine's per-worker accumulators. The fold
-/// itself — the machine-grouped bit-exact replay of step 3 — lives in
-/// core/snaple_rows.hpp (rows::fold_vertex_paths), shared with the
-/// incremental-update recompute path.
-rows::PathFoldScratch& local_scratch() {
-  static thread_local rows::PathFoldScratch scratch;
-  return scratch;
-}
-
-}  // namespace
-
 std::vector<std::pair<VertexId, float>> rank_candidates(
     const ScoreMap& candidates, const Aggregator& agg, std::size_t k) {
   // At most size() entries can come back, so clamp before TopK reserves
@@ -53,6 +38,9 @@ QueryEngine::QueryEngine(std::shared_ptr<const PredictorModel> model)
 QueryEngine::QueryEngine(std::shared_ptr<const DynamicModel> model)
     : dynamic_(std::move(model)) {
   SNAPLE_CHECK_MSG(dynamic_ != nullptr, "QueryEngine needs a model");
+  SNAPLE_CHECK_MSG(dynamic_->range().size() == dynamic_->num_vertices(),
+                   "QueryEngine needs a DynamicModel that owns every "
+                   "vertex (serve a ranged one through serve::LiveShard)");
   score_ = dynamic_->config().resolve_score();
 }
 
@@ -75,7 +63,7 @@ const SnapleConfig& QueryEngine::config() const noexcept {
 std::vector<std::pair<VertexId, float>> QueryEngine::topk(
     VertexId u, std::size_t k) const {
   SNAPLE_CHECK_MSG(u < num_vertices(), "query vertex out of model range");
-  rows::PathFoldScratch& scratch = local_scratch();
+  rows::PathFoldScratch& scratch = rows::thread_scratch();
   if (model_ != nullptr) {
     rows::fold_vertex_paths(*model_, score_, u, rows::PathFold::kRecommend,
                             /*zero_skip=*/false, scratch);

@@ -54,7 +54,8 @@ class QueryEngine {
 
   /// Serves over a live DynamicModel instead: reads go through the
   /// model's versioned row pointers, so concurrent add_edge(s) calls on
-  /// it are safe and become visible to subsequent queries.
+  /// it are safe and become visible to subsequent queries. The model
+  /// must own every vertex (throws CheckError on a ranged one).
   explicit QueryEngine(std::shared_ptr<const DynamicModel> model);
 
   /// The static model backing this engine. Valid only for engines built

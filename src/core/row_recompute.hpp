@@ -1,8 +1,8 @@
 // Single-row recompute entry points over a base+delta union graph —
-// the writer-side core shared by core/dynamic_model.cpp (one process
-// absorbs every insert) and serve/live_shard.cpp (each serving shard
-// absorbs the same insert stream but republishes only its own vertex
-// range).
+// the writer-side kernels of core/dynamic_model.cpp, whether the model
+// owns every vertex (one process absorbs every insert) or one range of
+// them (serve/live_shard.hpp: each serving shard absorbs the same
+// insert stream but republishes only its own range).
 //
 // Everything here is a pure function of (union graph, config, seed):
 // recomputing the same row twice — or on two different shards — yields
@@ -31,8 +31,7 @@
 // docs/SERVING.md). Because the sets depend only on the batch and the
 // live graph, every shard computes the same sets from the op stream
 // alone (kEdgeLocal machine tags are endpoint-hash-stable, so no
-// placement history is needed either) — the property ISSUE 9 calls
-// "per-shard stale sets computable".
+// placement history is needed either).
 #pragma once
 
 #include <algorithm>
@@ -51,7 +50,7 @@ namespace snaple::rows {
 
 /// One immutable published row. `scores` is empty for Γ̂ rows;
 /// `machines` is populated for sims rows only. Published behind an
-/// atomic pointer (RCU-style) by DynamicModel and LiveShard.
+/// atomic pointer (RCU-style) by DynamicModel.
 struct RowSlab {
   std::vector<VertexId> ids;
   std::vector<float> scores;
@@ -185,14 +184,15 @@ inline void validate_remove_batch(const OverlayGraph& overlay,
 /// Step 2 for one vertex: similarities over the union out-row,
 /// collected machine-grouped (ascending machine, ascending target
 /// within a machine) exactly as the engine's per-machine partials merge
-/// — the order Γrnd's shuffle keys on. `gamma_of(v)` must return the
-/// CURRENT Γ̂ row of any vertex (span<const VertexId>) — the caller
-/// resolves published/base/on-the-fly rows.
+/// — the order Γrnd's shuffle keys on; machines are placed with
+/// cfg.seed, the seed LinkPredictor partitions with. `gamma_of(v)` must
+/// return the CURRENT Γ̂ row of any vertex (span<const VertexId>) — the
+/// caller resolves published/base/on-the-fly rows.
 template <typename GammaFn>
 [[nodiscard]] std::unique_ptr<RowSlab> recompute_sims_row(
     const SnapleConfig& cfg, const ScoreConfig& score,
-    const OverlayGraph& overlay, std::uint32_t machines,
-    std::uint64_t partition_seed, VertexId x, GammaFn&& gamma_of) {
+    const OverlayGraph& overlay, std::uint32_t machines, VertexId x,
+    GammaFn&& gamma_of) {
   /// An out-edge of x with its insertion-stable machine: the unit the
   /// machine-grouped collection orders by.
   struct SimEntry {
@@ -207,8 +207,7 @@ template <typename GammaFn>
   overlay.for_each_out_neighbor(x, [&](VertexId w) {
     const double s = similarity(score.metric, gx, gamma_of(w),
                                 overlay.out_degree(w));
-    entries.push_back({gas::edge_local_machine(x, w, machines,
-                                               partition_seed),
+    entries.push_back({gas::edge_local_machine(x, w, machines, cfg.seed),
                        w, static_cast<float>(s)});
   });
   std::stable_sort(entries.begin(), entries.end(),
@@ -229,7 +228,7 @@ template <typename GammaFn>
     slab->ids.push_back(w);
     slab->scores.push_back(s);
     slab->machines.push_back(
-        gas::edge_local_machine(x, w, machines, partition_seed));
+        gas::edge_local_machine(x, w, machines, cfg.seed));
   }
   return slab;
 }

@@ -18,7 +18,9 @@
 //   * fold_vertex_paths                — the machine-grouped replay of a
 //                                        whole vertex's fold, templated
 //                                        over any model-row source
-//                                        (PredictorModel, DynamicModel).
+//                                        (PredictorModel, DynamicModel,
+//                                        a serving shard's rows), into
+//                                        the thread's thread_scratch().
 //
 // Why machine grouping everywhere: the engine folds a vertex's edges
 // grouped by the machine owning each edge (CSR order within a machine,
@@ -213,13 +215,22 @@ std::size_t fold_hop2_edge(VertexId u, std::span<const VertexId> gamma_u,
 // Machine-grouped single-vertex fold replay over model rows.
 // ---------------------------------------------------------------------
 
-/// Reused fold state; callers keep one per thread so the hot path is
-/// allocation-free in steady state, like the engine's per-worker
+/// Reused fold state, one per thread (thread_scratch) so the hot path
+/// is allocation-free in steady state, like the engine's per-worker
 /// accumulators.
 struct PathFoldScratch {
   ScoreMap partial;
   ScoreMap merged;
 };
+
+/// The calling thread's fold state, shared by every single-vertex fold
+/// — query serving (QueryEngine, the shards) and the hop2 recompute of
+/// an update. Folds never nest, so one per thread suffices; concurrent
+/// callers each get their own.
+[[nodiscard]] inline PathFoldScratch& thread_scratch() {
+  static thread_local PathFoldScratch scratch;
+  return scratch;
+}
 
 /// Which fold a replay performs: step 3's recommendation fold (sims plus,
 /// for K=3, the hop2 extension) or step 2b's 2-hop pre-fold (sims only,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <string>
 
+#include "core/dynamic_model.hpp"
 #include "core/query_engine.hpp"
 #include "core/snaple_rows.hpp"
 #include "util/check.hpp"
@@ -21,20 +22,31 @@ std::size_t sorted_find(const std::vector<VertexId>& ids, VertexId v) {
   return static_cast<std::size_t>(it - ids.begin());
 }
 
-/// Model-row source over a shard plus an optional row overlay — the
-/// `Model` interface rows::fold_vertex_paths templates over. Resolution
-/// order: owned slice, replica table, overlay (cached or fetched rows);
-/// a row resident nowhere is a routing bug and throws (never misscores).
+/// Whether v's sims/hop2 rows can be read without a fetch.
+bool resident(const ModelShard& shard, VertexId v) {
+  return shard.has_row(v);
+}
+bool resident(const DynamicModel& live, VertexId v) { return live.owns(v); }
+
+/// Model-row source over a shard's resident rows plus an optional row
+/// overlay — the `Model` interface rows::fold_vertex_paths templates
+/// over. Resolution order: the pinned root row, resident rows, overlay
+/// (cached or fetched rows); a row resident nowhere is a routing bug
+/// and throws (never misscores).
+template <typename Rows>
 struct ShardRowSource {
-  const ModelShard* shard;
+  const Rows* shard;
   const RowOverlay* overlay;
+  VertexId root_id;
+  const PredictorModel::SimsView* root;  // null: u's row read as is
 
   [[nodiscard]] std::span<const VertexId> gamma_hat(VertexId u) const {
     return shard->gamma_hat(u);
   }
 
   [[nodiscard]] PredictorModel::SimsView sims(VertexId v) const {
-    if (shard->has_row(v)) return shard->sims(v);
+    if (root != nullptr && v == root_id) return *root;
+    if (resident(*shard, v)) return shard->sims(v);
     const HotRow& row = overlay_row(v);
     return {{row.sims_ids.data(), row.sims_ids.size()},
             {row.sims_scores.data(), row.sims_scores.size()},
@@ -42,7 +54,7 @@ struct ShardRowSource {
   }
 
   [[nodiscard]] PredictorModel::Hop2View hop2(VertexId v) const {
-    if (shard->has_row(v)) return shard->hop2(v);
+    if (resident(*shard, v)) return shard->hop2(v);
     const HotRow& row = overlay_row(v);
     return {{row.hop2_ids.data(), row.hop2_ids.size()},
             {row.hop2_scores.data(), row.hop2_scores.size()}};
@@ -63,11 +75,6 @@ struct ShardRowSource {
     return *overlay->rows[i];
   }
 };
-
-rows::PathFoldScratch& local_scratch() {
-  static thread_local rows::PathFoldScratch scratch;
-  return scratch;
-}
 
 }  // namespace
 
@@ -171,10 +178,14 @@ PredictorModel::Hop2View ModelShard::hop2(VertexId v) const {
            replica_hop2_scores_.data() + e}};
 }
 
-std::vector<VertexId> ModelShard::missing_rows(VertexId u) const {
+template <typename Rows>
+std::vector<VertexId> shard_missing_rows(const Rows& shard, VertexId u,
+                                         PredictorModel::SimsView* root) {
+  const PredictorModel::SimsView su = shard.sims(u);
+  if (root != nullptr) *root = su;
   std::vector<VertexId> missing;
-  for (const VertexId v : sims(u).ids) {
-    if (!has_row(v)) missing.push_back(v);
+  for (const VertexId v : su.ids) {
+    if (!resident(shard, v)) missing.push_back(v);
   }
   std::sort(missing.begin(), missing.end());
   missing.erase(std::unique(missing.begin(), missing.end()),
@@ -182,16 +193,38 @@ std::vector<VertexId> ModelShard::missing_rows(VertexId u) const {
   return missing;
 }
 
+template <typename Rows>
+std::vector<std::pair<VertexId, float>> shard_topk(
+    const Rows& shard, const ScoreConfig& score, VertexId u, std::size_t k,
+    const RowOverlay* overlay, const PredictorModel::SimsView* root) {
+  SNAPLE_CHECK_MSG(shard.owns(u), "query vertex " + std::to_string(u) +
+                                      " routed to the wrong shard");
+  const ShardRowSource<Rows> source{&shard, overlay, u, root};
+  rows::PathFoldScratch& scratch = rows::thread_scratch();
+  rows::fold_vertex_paths(source, score, u, rows::PathFold::kRecommend,
+                          /*zero_skip=*/false, scratch);
+  return rank_candidates(scratch.merged, score.aggregator,
+                         k == 0 ? shard.config().k : k);
+}
+
+template std::vector<VertexId> shard_missing_rows(
+    const ModelShard&, VertexId, PredictorModel::SimsView*);
+template std::vector<VertexId> shard_missing_rows(
+    const DynamicModel&, VertexId, PredictorModel::SimsView*);
+template std::vector<std::pair<VertexId, float>> shard_topk(
+    const ModelShard&, const ScoreConfig&, VertexId, std::size_t,
+    const RowOverlay*, const PredictorModel::SimsView*);
+template std::vector<std::pair<VertexId, float>> shard_topk(
+    const DynamicModel&, const ScoreConfig&, VertexId, std::size_t,
+    const RowOverlay*, const PredictorModel::SimsView*);
+
+std::vector<VertexId> ModelShard::missing_rows(VertexId u) const {
+  return shard_missing_rows(*this, u, nullptr);
+}
+
 std::vector<std::pair<VertexId, float>> ModelShard::topk(
     VertexId u, std::size_t k, const RowOverlay* overlay) const {
-  SNAPLE_CHECK_MSG(owns(u), "query vertex " + std::to_string(u) +
-                                " routed to the wrong shard");
-  const ShardRowSource source{this, overlay};
-  rows::PathFoldScratch& scratch = local_scratch();
-  rows::fold_vertex_paths(source, score_, u, rows::PathFold::kRecommend,
-                          /*zero_skip=*/false, scratch);
-  return rank_candidates(scratch.merged, score_.aggregator,
-                         k == 0 ? config_.k : k);
+  return shard_topk(*this, score_, u, k, overlay, nullptr);
 }
 
 std::size_t ModelShard::replica_bytes() const noexcept {

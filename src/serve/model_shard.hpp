@@ -128,6 +128,26 @@ class ModelShard {
   std::vector<float> replica_hop2_scores_;
 };
 
+/// The serving half every shard backend shares, so static and live
+/// shards answer through one body: missing_rows lists the retained
+/// neighbors of u whose rows are not resident (sorted ascending — what
+/// the serving layer resolves from its cache or peers), and topk folds
+/// owned u over resident rows plus the resolved `overlay` and ranks
+/// with `score` — bit-identical to QueryEngine::topk. `Rows` is
+/// ModelShard (resident = owned or replicated) or DynamicModel (the
+/// live rows of one owned range; resident = owned); model_shard.cpp
+/// instantiates both. A non-null `root` pins u's sims row:
+/// shard_missing_rows stores the view it derived the list from and
+/// shard_topk folds over that view, so a writer republishing u between
+/// the two calls cannot desync the fold from its overlay.
+template <typename Rows>
+[[nodiscard]] std::vector<VertexId> shard_missing_rows(
+    const Rows& shard, VertexId u, PredictorModel::SimsView* root);
+template <typename Rows>
+[[nodiscard]] std::vector<std::pair<VertexId, float>> shard_topk(
+    const Rows& shard, const ScoreConfig& score, VertexId u, std::size_t k,
+    const RowOverlay* overlay, const PredictorModel::SimsView* root);
+
 /// Byte-balanced contiguous ranges for `parts` shards: vertex u weighs
 /// model.row_bytes(u). Every query-relevant array slices along the
 /// result; parts may exceed the vertex count (trailing ranges empty).

@@ -310,7 +310,7 @@ void ShardServer::handle_edge_batch(ByteChannel& ch, bool remove) {
                               "cluster in live mode to apply removals"
                             : "update sent to a static shard — build the "
                               "cluster in live mode to apply inserts");
-    LiveShard::ApplyStats applied;
+    DynamicModel::UpdateStats applied;
     {
       // One link carries the plane's writes in normal operation; the
       // lock makes multi-link configurations safe rather than racy.

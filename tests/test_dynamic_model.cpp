@@ -6,7 +6,9 @@
 // LinkPredictor::fit run from scratch on the live graph (base ∪ inserts
 // − removals) under the same config and the insertion-stable
 // (kEdgeLocal) edge placement. Floats make this strict, so the
-// assertions are EXPECT_EQ / operator==, never EXPECT_NEAR. The suite
+// assertions are EXPECT_EQ / operator==, never EXPECT_NEAR. A model
+// owning half the vertices, fed the same stream, must match the refit
+// on its owned rows and the full model on every row version. The suite
 // also pins the version-counter semantics, invalid-insert and
 // invalid-remove rejection (atomic, model untouched), and lock-free
 // concurrent reads during mixed insert+remove writer bursts.
@@ -63,8 +65,8 @@ std::shared_ptr<const T> unowned(const T& ref) {
 
 /// Fits a model on `g` under the insertion-stable edge placement —
 /// the precondition DynamicModel verifies. Partitions with cfg.seed,
-/// exactly as LinkPredictor::fit would, so DynamicModel's defaulted
-/// partition_seed resolves to the right placement.
+/// exactly as LinkPredictor::fit would — the placement seed
+/// DynamicModel verifies against.
 std::shared_ptr<const PredictorModel> fit_edge_local(
     const CsrGraph& g, const SnapleConfig& cfg, std::size_t machines,
     gas::ExecutionMode exec) {
@@ -97,6 +99,44 @@ void expect_identical_serving(const DynamicModel& dyn,
   for (VertexId u = 0; u < refit.num_vertices(); ++u) {
     ASSERT_EQ(live.topk(u), fresh.topk(u)) << what << " u=" << u;
   }
+}
+
+/// A DynamicModel owning only `ranged.range()`, fed the same ops as the
+/// whole-model `full`, against the refit on their live graph: its owned
+/// rows are the refit's, its row versions are the full model's on EVERY
+/// vertex, and every read beyond the range — rows, freeze(), a
+/// QueryEngine — throws.
+void expect_ranged_identical(const DynamicModel& ranged,
+                             const DynamicModel& full,
+                             const PredictorModel& refit,
+                             const std::string& what) {
+  EXPECT_EQ(ranged.version(), full.version()) << what;
+  for (VertexId u = 0; u < refit.num_vertices(); ++u) {
+    ASSERT_EQ(ranged.row_version(u), full.row_version(u))
+        << what << " u=" << u;
+    if (!ranged.owns(u)) continue;
+    ASSERT_TRUE(std::ranges::equal(ranged.gamma_hat(u), refit.gamma_hat(u)))
+        << what << " u=" << u;
+    const auto s = ranged.sims(u);
+    const auto rs = refit.sims(u);
+    ASSERT_TRUE(std::ranges::equal(s.ids, rs.ids) &&
+                std::ranges::equal(s.scores, rs.scores) &&
+                std::ranges::equal(s.machines, rs.machines))
+        << what << " u=" << u;
+    const auto h = ranged.hop2(u);
+    const auto rh = refit.hop2(u);
+    ASSERT_TRUE(std::ranges::equal(h.ids, rh.ids) &&
+                std::ranges::equal(h.scores, rh.scores))
+        << what << " u=" << u;
+  }
+  const VertexId outside =
+      ranged.range().begin > 0 ? 0 : ranged.range().end;
+  ASSERT_FALSE(ranged.owns(outside)) << what;
+  EXPECT_THROW((void)ranged.gamma_hat(outside), CheckError) << what;
+  EXPECT_THROW((void)ranged.sims(outside), CheckError) << what;
+  EXPECT_THROW((void)ranged.hop2(outside), CheckError) << what;
+  EXPECT_THROW((void)ranged.freeze(), CheckError) << what;
+  EXPECT_THROW((void)QueryEngine{unowned(ranged)}, CheckError) << what;
 }
 
 // ---------- incremental ≡ refit (the tentpole property) ----------
@@ -224,8 +264,14 @@ TEST(DynamicModelEquivalence, InsertRemoveInterleavingsMatchLiveGraphRefit) {
       const std::string what =
           "seed=" + std::to_string(seed) + " K=" + std::to_string(c.k_hops);
 
-      DynamicModel dyn(fit_edge_local(*split.base, cfg, 4, c.exec),
-                       split.base);
+      const auto base_model = fit_edge_local(*split.base, cfg, 4, c.exec);
+      DynamicModel dyn(base_model, split.base);
+      // The same op stream through a model owning the upper half only:
+      // its recomputes read lower-half dependencies from the base or
+      // recompute them on the fly.
+      const VertexId n = base_model->num_vertices();
+      DynamicModel half(base_model, split.base, nullptr,
+                        gas::VertexRange{n / 2, n});
       std::mt19937 rng(static_cast<unsigned>(seed));
       const auto base_edges = split.base->edges();
       std::vector<Edge> removed;  // re-add candidates
@@ -239,6 +285,7 @@ TEST(DynamicModelEquivalence, InsertRemoveInterleavingsMatchLiveGraphRefit) {
             if (next_insert < split.inserts.size()) {
               const Edge e = split.inserts[next_insert++];
               (void)dyn.add_edge(e.src, e.dst);
+              (void)half.add_edge(e.src, e.dst);
             }
             break;
           }
@@ -246,6 +293,7 @@ TEST(DynamicModelEquivalence, InsertRemoveInterleavingsMatchLiveGraphRefit) {
             const Edge e = base_edges[rng() % base_edges.size()];
             if (dyn.graph().has_edge(e.src, e.dst)) {
               (void)dyn.remove_edge(e.src, e.dst);
+              (void)half.remove_edge(e.src, e.dst);
               removed.push_back(e);
               ++removals;
             }
@@ -256,6 +304,7 @@ TEST(DynamicModelEquivalence, InsertRemoveInterleavingsMatchLiveGraphRefit) {
               const Edge e = removed[rng() % removed.size()];
               if (!dyn.graph().has_edge(e.src, e.dst)) {
                 (void)dyn.add_edge(e.src, e.dst);
+                (void)half.add_edge(e.src, e.dst);
                 ++readds;
               }
             }
@@ -271,6 +320,7 @@ TEST(DynamicModelEquivalence, InsertRemoveInterleavingsMatchLiveGraphRefit) {
         if (dyn.graph().has_edge(e.src, e.dst)) drop.push_back(e);
       }
       if (!drop.empty()) (void)dyn.remove_edges(drop);
+      if (!drop.empty()) (void)half.remove_edges(drop);
       ASSERT_GT(removals, 5u) << what;
       ASSERT_GT(readds, 0u) << what;
 
@@ -278,6 +328,7 @@ TEST(DynamicModelEquivalence, InsertRemoveInterleavingsMatchLiveGraphRefit) {
       const auto refit = fit_edge_local(live, cfg, 4, c.exec);
       EXPECT_TRUE(dyn.freeze() == *refit) << what;
       expect_identical_serving(dyn, *refit, what);
+      expect_ranged_identical(half, dyn, *refit, what);
     }
   }
 }
@@ -464,7 +515,7 @@ TEST(DynamicModelRejection, RequiresEdgeLocalTagsAndDeterministicPolicy) {
 
   // ...as does the documented fit-then-wrap flow on >1 machine: a
   // kEdgeLocal LinkPredictor partitions internally with config.seed,
-  // and DynamicModel's defaulted partition_seed must resolve to it.
+  // the placement seed DynamicModel verifies against.
   const LinkPredictor lp4(cfg, gas::ClusterConfig::type_i(4),
                           gas::PartitionStrategy::kEdgeLocal);
   const auto m4 = std::make_shared<const PredictorModel>(lp4.fit(*g));
