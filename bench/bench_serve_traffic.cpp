@@ -530,7 +530,7 @@ int main(int argc, char** argv) {
   std::cout << "update plane: " << us.edges << " inserts in "
             << us.batches << " batches over " << Table::fmt(burst_wall, 4)
             << " s; " << us.gamma_rows + us.sims_rows + us.hop2_rows
-            << " stale rows republished (" << us.gamma_rows << " gamma, "
+            << " stale rows refreshed (" << us.gamma_rows << " gamma, "
             << us.sims_rows << " sims, " << us.hop2_rows << " hop2), "
             << us.bytes_sent + us.bytes_received
             << " wire B; cluster version " << plane_version << "\n\n";

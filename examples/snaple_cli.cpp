@@ -305,7 +305,7 @@ struct UpdateReport {
 /// enters a FIFO of the last `window` live stream inserts; pushing past
 /// the cap expires the oldest as a removal. `apply(batch, remove)`
 /// applies one validated batch and returns the stale rows it
-/// republished (0 where the callee reports its own stats).
+/// refreshed (0 where the callee reports its own stats).
 template <typename ApplyFn>
 UpdateReport stream_edge_ops(std::istream& in, const snaple::CsrGraph& base,
                              std::size_t window, ApplyFn&& apply) {
@@ -505,7 +505,7 @@ int serve_live_sharded(
   std::cerr << "\nupdate plane: " << us.batches + us.remove_batches
             << " batches, "
             << us.gamma_rows + us.sims_rows + us.hop2_rows
-            << " stale rows republished (" << us.gamma_rows << " gamma, "
+            << " stale rows refreshed (" << us.gamma_rows << " gamma, "
             << us.sims_rows << " sims, " << us.hop2_rows << " hop2), "
             << us.bytes_sent << " B out, " << us.bytes_received
             << " B in; cluster version " << version << "\n";

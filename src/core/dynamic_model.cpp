@@ -146,7 +146,7 @@ DynamicModel::UpdateStats DynamicModel::add_edges(
   // overlay mutation, so a throw leaves the model untouched.
   rows::validate_insert_batch(overlay_, batch);
   for (const Edge& e : batch) overlay_.insert(e.src, e.dst);
-  return republish_stale(batch);
+  return refresh_stale(batch);
 }
 
 DynamicModel::UpdateStats DynamicModel::remove_edge(VertexId u,
@@ -159,7 +159,7 @@ DynamicModel::UpdateStats DynamicModel::remove_edges(
     std::span<const Edge> batch) {
   rows::validate_remove_batch(overlay_, batch);
   for (const Edge& e : batch) overlay_.remove(e.src, e.dst);
-  return republish_stale(batch);
+  return refresh_stale(batch);
 }
 
 std::span<const VertexId> DynamicModel::current_gamma(
@@ -197,7 +197,7 @@ PredictorModel::SimsView DynamicModel::current_sims(
   return {s->ids, s->scores, s->machines};
 }
 
-DynamicModel::UpdateStats DynamicModel::republish_stale(
+DynamicModel::UpdateStats DynamicModel::refresh_stale(
     std::span<const Edge> batch) {
   UpdateStats out;
   if (batch.empty()) {
@@ -218,24 +218,55 @@ DynamicModel::UpdateStats DynamicModel::republish_stale(
   for (const VertexId u : stale.gamma) gamma_dirty_[u] = 1;
   for (const VertexId x : stale.sims) sims_dirty_[x] = 1;
 
-  // Recompute the OWNED stale rows in dependency order — each phase
-  // reads rows the previous phase already published (same thread, plain
+  // Refresh the OWNED stale rows in dependency order — each phase reads
+  // rows the previous phase already published (same thread, plain
   // program order; readers see each row flip atomically).
   out.edges = batch.size();
   DependencyMemo memo;
+  const auto gamma_of = [&](VertexId w) { return current_gamma(w, memo); };
   for (const VertexId u : stale.gamma) {
     if (!owns(u)) continue;
     auto slab = std::make_unique<RowSlab>();
     slab->ids = rows::recompute_gamma_row(config(), overlay_, u);
-    publish(gamma_rows_, u, std::move(slab));
+    publish(gamma_rows_, u, std::move(slab), gamma_hat(u), {}, {});
     ++out.gamma_rows;
   }
+
+  // A stale sims row x that is not a source itself lost no out-edge and
+  // kept Γ̂(x): only sim(x, u) for the sources u ∈ Γ(x) moved. Pair each
+  // owned x with those sources, sorted like stale.sims (which holds
+  // every such x), so the row can re-score just them
+  // (rows::rescore_sims_row; null = full recompute).
+  std::vector<Edge> moved;  // {x, source u}: (x, u) is a live edge
+  for (const VertexId u : stale.gamma) {
+    overlay_.for_each_in_neighbor(u, [&](VertexId x) {
+      if (owns(x)) moved.push_back({x, u});
+    });
+  }
+  std::sort(moved.begin(), moved.end());
+  std::vector<VertexId> changed;
+  std::size_t at = 0;
   for (const VertexId x : stale.sims) {
     if (!owns(x)) continue;
-    publish(sims_rows_, x,
-            rows::recompute_sims_row(
-                config(), score_, overlay_, num_machines(), x,
-                [&](VertexId w) { return current_gamma(w, memo); }));
+    changed.clear();
+    for (; at < moved.size() && moved[at].src == x; ++at) {
+      changed.push_back(moved[at].dst);
+    }
+    const auto current = sims(x);
+    std::unique_ptr<RowSlab> slab;
+    if (!std::binary_search(stale.gamma.begin(), stale.gamma.end(), x)) {
+      slab = rows::rescore_sims_row(config(), score_, overlay_,
+                                    num_machines(), x, current, changed,
+                                    gamma_of);
+    }
+    if (slab != nullptr) {
+      ++out.sims_rescored;
+    } else {
+      slab = rows::recompute_sims_row(config(), score_, overlay_,
+                                      num_machines(), x, gamma_of);
+    }
+    publish(sims_rows_, x, std::move(slab), current.ids, current.scores,
+            current.machines);
     ++out.sims_rows;
   }
   if (!hop2_rows_.empty()) {
@@ -243,9 +274,11 @@ DynamicModel::UpdateStats DynamicModel::republish_stale(
     rows::PathFoldScratch& fold = rows::thread_scratch();
     for (const VertexId x : stale.hop2) {
       if (!owns(x)) continue;
+      const auto current = hop2(x);
       publish(hop2_rows_, x,
               rows::recompute_hop2_row(source, score_, hop2_skip_zero_, x,
-                                       fold));
+                                       fold),
+              current.ids, current.scores, {});
       ++out.hop2_rows;
     }
   }
@@ -263,18 +296,27 @@ DynamicModel::UpdateStats DynamicModel::republish_stale(
   out.version = version_.fetch_add(batch.size(),
                                    std::memory_order_release) +
                 batch.size();
+  held_bytes_.store(overlay_.memory_bytes() + slab_bytes_,
+                    std::memory_order_relaxed);
   return out;
 }
 
 void DynamicModel::publish(RowTable& table, VertexId u,
-                           std::unique_ptr<RowSlab> slab) {
+                           std::unique_ptr<RowSlab> slab,
+                           std::span<const VertexId> ids,
+                           std::span<const float> scores,
+                           std::span<const gas::MachineId> machines) {
+  if (slab->same_bytes(ids, scores, machines)) return;  // keep the live row
   const RowSlab* p = slab.get();
+  const std::size_t capacity = slabs_.capacity();
   slabs_.push_back(std::move(slab));  // retired slabs stay owned forever
+  slab_bytes_ += p->memory_bytes() + (slabs_.capacity() - capacity) *
+                                         sizeof(std::unique_ptr<const RowSlab>);
   table[u - range_.begin].store(p, std::memory_order_release);
 }
 
 // ---------------------------------------------------------------------
-// Snapshot + accounting.
+// Snapshot.
 // ---------------------------------------------------------------------
 
 PredictorModel DynamicModel::freeze() const {
@@ -315,14 +357,6 @@ PredictorModel DynamicModel::freeze() const {
   m.sims_offsets_.push_back(m.sims_ids_.size());
   if (three_hop) m.hop2_offsets_.push_back(m.hop2_ids_.size());
   return m;
-}
-
-std::size_t DynamicModel::overlay_bytes() const noexcept {
-  std::size_t bytes =
-      overlay_.memory_bytes() +
-      slabs_.capacity() * sizeof(std::unique_ptr<const RowSlab>);
-  for (const auto& s : slabs_) bytes += s->memory_bytes();
-  return bytes;
 }
 
 }  // namespace snaple

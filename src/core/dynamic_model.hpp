@@ -15,13 +15,31 @@
 //   hop2(x) for x ∈ S ∪ Γ⁻¹(S),          (the 2b fold of x reads sims(x),
 //           S = {u} ∪ Γ⁻¹(u)              Γ̂(x) and sims of x's targets)
 //
-// — all neighborhood-sized sets, recomputed in microseconds with the
+// — all neighborhood-sized sets, refreshed in microseconds with the
 // same row kernels the batch engine runs (core/snaple_rows.hpp) against
 // a graph overlay (graph/overlay_graph.hpp). Removals hit the identical
 // sets because touching (u, v) only ever changes Γ(u)/|Γ(u)| and
 // Γ⁻¹(v) — row_recompute.hpp's header carries the symmetry argument —
-// so inserts and removes share one republish tail. bench_update
+// so inserts and removes share one refresh tail. bench_update
 // measures the gap against the full refit wall.
+//
+// The refresh rule. Γ̂ and hop2 rows, and the sims rows of the batch
+// SOURCES (their out-row and Γ̂ moved, so every sim in them did), are
+// recomputed. Every other stale sims row x kept its out-row and Γ̂(x),
+// so only sim(x, w) for w ∈ W = Γ(x) ∩ sources moved: x re-scores just
+// W and re-selects klocal from (old row ∖ W) ∪ W
+// (rows::rescore_sims_row). That is exact for an untruncated row, and
+// for a Γmax/Γmin row unless some w ∈ W in the old row now ranks lower
+// than before (row_recompute.hpp's header has the argument); such a
+// row, a truncated Γrnd row and a dirty non-owned dependency (below —
+// no old row of it is kept) are recomputed instead.
+//
+// Skip-publish: a refreshed row holding the same bytes as the live one
+// keeps the live slab — nothing is published, nothing retired — but its
+// row_version still bumps. Version bumps follow the stale sets alone, so
+// every instance bumps the same vertices whatever its rows came out as,
+// and a version-keyed cache drops and refetches an unchanged row like a
+// changed one (identical bytes: a wasted fetch, never a wrong answer).
 //
 // THE contract (the property test in tests/test_dynamic_model.cpp):
 // after any interleaving of add_edge(s) and remove_edge(s), every row
@@ -42,12 +60,12 @@
 //     tags against the rule (single-machine models always pass: every
 //     tag is 0 under any strategy).
 //
-// Owned range: a DynamicModel republishes the rows of one contiguous
+// Owned range: a DynamicModel refreshes the rows of one contiguous
 // vertex range (gas::VertexRange, the whole model by default). That is
 // the whole difference between the single-process live model and one
 // shard of the sharded update plane (serve/live_shard.hpp wraps a
 // ranged DynamicModel): every instance holds the full live graph and
-// applies every batch, derives the same stale sets, recomputes only the
+// applies every batch, derives the same stale sets, refreshes only the
 // stale rows it OWNS, and bumps row_version for EVERY stale vertex, so
 // all instances agree on every version with no coordination. A
 // non-owned dependency of an owned recompute (sims(x) reads Γ̂ of x's
@@ -59,7 +77,7 @@
 // is the plain single-process update.
 //
 // Concurrency: single writer, any number of readers, no reader locks.
-// Each recomputed row is published as an immutable slab behind one
+// Each changed row is published as an immutable slab behind one
 // atomic pointer (release store; readers load-acquire — an RCU-style
 // swap). Readers are never torn: a row is either the old slab or the
 // new one, never a mix. During a multi-row update a concurrent query
@@ -67,11 +85,12 @@
 // snapshot, isolation); once add_edge(s) returns, every new query
 // reflects the insert. Superseded slabs are retired, never freed while
 // this object lives — a reader can never chase a dangling pointer, and
-// in exchange memory grows with the update count (overlay_bytes()
-// reports). To compact a long-lived server, freeze() a snapshot, swap
-// serving onto a fresh DynamicModel wrapping it (plus the union
-// graph), and discard this one once its readers drain — the RCU grace
-// period, moved to an object boundary.
+// in exchange memory grows with the count of rows that changed
+// (overlay_bytes() reports, and may be polled from any thread). To
+// compact a long-lived server, freeze() a snapshot, swap serving onto a
+// fresh DynamicModel wrapping it (plus the union graph), and discard
+// this one once its readers drain — the RCU grace period, moved to an
+// object boundary.
 #pragma once
 
 #include <atomic>
@@ -91,15 +110,18 @@ namespace snaple {
 
 class DynamicModel {
  public:
-  /// What one update touched. The row counts are the rows THIS model
-  /// republished — its owned share of the stale sets (summed over
+  /// What one update touched. The row counts are the owned stale rows
+  /// THIS model refreshed — its share of the stale sets (summed over
   /// instances whose ranges partition the vertices, they give the global
-  /// stale-row counts); `version` is version() afterwards.
+  /// stale-row counts), whether or not a refreshed row came out
+  /// unchanged; `version` is version() afterwards.
   struct UpdateStats {
     std::uint64_t edges = 0;       // operations applied (inserts or removals)
-    std::uint64_t gamma_rows = 0;  // Γ̂ rows republished
-    std::uint64_t sims_rows = 0;   // sims rows republished
-    std::uint64_t hop2_rows = 0;   // hop2 rows republished (K=3 only)
+    std::uint64_t gamma_rows = 0;  // owned stale Γ̂ rows refreshed
+    std::uint64_t sims_rows = 0;   // owned stale sims rows refreshed
+    std::uint64_t hop2_rows = 0;   // owned stale hop2 rows refreshed (K=3)
+    std::uint64_t sims_rescored = 0;  // of sims_rows: by re-scoring only
+                                      // the neighbors the batch changed
     std::uint64_t version = 0;
   };
 
@@ -205,12 +227,12 @@ class DynamicModel {
   [[nodiscard]] std::uint64_t version() const noexcept {
     return version_.load(std::memory_order_acquire);
   }
-  /// Times any of u's rows was republished — here or, for a non-owned
-  /// u, by its owner — since construction (0 = the base model's rows
-  /// are still current for u). Kept for EVERY vertex and bumped after
-  /// the owned rows are published: a reader that sees the new version
-  /// also sees the new rows — the invariant version-keyed row caches
-  /// rest on.
+  /// Times any of u's rows was refreshed — here or, for a non-owned u,
+  /// by its owner — since construction, whether or not the refresh
+  /// changed a byte (0 = the base model's rows are still current for
+  /// u). Kept for EVERY vertex and bumped after the owned rows are
+  /// published: a reader that sees the new version also sees the new
+  /// rows — the invariant version-keyed row caches rest on.
   [[nodiscard]] std::uint64_t row_version(VertexId u) const {
     SNAPLE_DCHECK(u < num_vertices());
     return row_version_[u].load(std::memory_order_acquire);
@@ -226,8 +248,12 @@ class DynamicModel {
   }
 
   /// Bytes held beyond the model at construction: live + retired row
-  /// slabs and the overlay delta rows (0 before the first update).
-  [[nodiscard]] std::size_t overlay_bytes() const noexcept;
+  /// slabs and the overlay delta rows (0 before the first update). A
+  /// running total the writer stores after each update, so any thread
+  /// may poll it while updates run.
+  [[nodiscard]] std::size_t overlay_bytes() const noexcept {
+    return held_bytes_.load(std::memory_order_relaxed);
+  }
 
  private:
   /// One immutable published row (core/row_recompute.hpp).
@@ -254,11 +280,16 @@ class DynamicModel {
       VertexId v, DependencyMemo& memo) const;
 
   /// Shared tail of both writer paths: stale sets against the already
-  /// mutated overlay, dirty flags, owned republishes in dependency
-  /// order, version bumps.
-  UpdateStats republish_stale(std::span<const Edge> batch);
+  /// mutated overlay, dirty flags, owned refreshes in dependency order,
+  /// version bumps.
+  UpdateStats refresh_stale(std::span<const Edge> batch);
 
-  void publish(RowTable& table, VertexId u, std::unique_ptr<RowSlab> slab);
+  /// Publishes `slab` as owned u's row in `table` — unless it holds the
+  /// same bytes as the row readers see now (`ids`/`scores`/`machines`),
+  /// which then stays and `slab` is dropped.
+  void publish(RowTable& table, VertexId u, std::unique_ptr<RowSlab> slab,
+               std::span<const VertexId> ids, std::span<const float> scores,
+               std::span<const gas::MachineId> machines);
 
   std::shared_ptr<const PredictorModel> base_;
   OverlayGraph overlay_;
@@ -282,6 +313,8 @@ class DynamicModel {
   /// Every slab ever published, live or superseded — deferred
   /// reclamation is what lets readers run without locks or epochs.
   std::vector<std::unique_ptr<const RowSlab>> slabs_;
+  std::size_t slab_bytes_ = 0;  // writer-side: slabs_ and what it owns
+  std::atomic<std::size_t> held_bytes_{0};  // overlay_bytes()
 };
 
 }  // namespace snaple

@@ -32,9 +32,26 @@
 // live graph, every shard computes the same sets from the op stream
 // alone (kEdgeLocal machine tags are endpoint-hash-stable, so no
 // placement history is needed either).
+//
+// The refresh of a stale sims row x that is NOT a batch source
+// (rescore_sims_row; sources get recompute_sims_row). x kept its
+// out-row, hence Γ̂(x) and deg(x), and sim(x, w) reads Γ̂(x), Γ̂(w) and
+// |Γ(w)| — so only the keys of W = Γ(x) ∩ sources moved. Re-score W and
+// re-select klocal from (old row ∖ W) ∪ W. Exactness: an untruncated
+// row (deg(x) ≤ klocal) keeps every neighbor, so the re-selection just
+// swaps in W's scores. A truncated Γmax/Γmin row is the top klocal
+// under a strict order (score, then id); if no w ∈ W that sat in the
+// old row now ranks lower than before, then every candidate c outside
+// old row ∪ W kept its key, which ranked below every old-row member,
+// and every old-row member kept or raised its key — so klocal
+// candidates still outrank c and the new top klocal lies inside
+// old row ∪ W, which the re-selection ranks in full. Otherwise — a
+// worsened in-row key, or a truncated Γrnd row, whose shuffle keys on
+// the whole candidate list — the row is recomputed.
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -42,6 +59,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/model.hpp"
 #include "core/similarity.hpp"
 #include "core/snaple_rows.hpp"
 #include "graph/overlay_graph.hpp"
@@ -60,6 +78,18 @@ struct RowSlab {
     return sizeof(RowSlab) + ids.capacity() * sizeof(VertexId) +
            scores.capacity() * sizeof(float) +
            machines.capacity() * sizeof(gas::MachineId);
+  }
+
+  /// True when this row holds exactly these bytes — scores compared bit
+  /// for bit, so not even a -0.0/+0.0 flip counts as unchanged.
+  [[nodiscard]] bool same_bytes(
+      std::span<const VertexId> other_ids,
+      std::span<const float> other_scores,
+      std::span<const gas::MachineId> other_machines) const noexcept {
+    const auto bits = [](float f) { return std::bit_cast<std::uint32_t>(f); };
+    return std::ranges::equal(ids, other_ids) &&
+           std::ranges::equal(scores, other_scores, {}, bits, bits) &&
+           std::ranges::equal(machines, other_machines);
   }
 };
 
@@ -181,6 +211,24 @@ inline void validate_remove_batch(const OverlayGraph& overlay,
   return row;
 }
 
+/// A selected sims row of x (ascending ids) as a slab, machine tags
+/// placed with cfg.seed.
+[[nodiscard]] inline std::unique_ptr<RowSlab> sims_slab(
+    const SnapleConfig& cfg, std::uint32_t machines, VertexId x,
+    const std::vector<std::pair<VertexId, float>>& selected) {
+  auto slab = std::make_unique<RowSlab>();
+  slab->ids.reserve(selected.size());
+  slab->scores.reserve(selected.size());
+  slab->machines.reserve(selected.size());
+  for (const auto& [w, s] : selected) {
+    slab->ids.push_back(w);
+    slab->scores.push_back(s);
+    slab->machines.push_back(
+        gas::edge_local_machine(x, w, machines, cfg.seed));
+  }
+  return slab;
+}
+
 /// Step 2 for one vertex: similarities over the union out-row,
 /// collected machine-grouped (ascending machine, ascending target
 /// within a machine) exactly as the engine's per-machine partials merge
@@ -219,18 +267,55 @@ template <typename GammaFn>
   collected.reserve(entries.size());
   for (const SimEntry& e : entries) collected.emplace_back(e.target, e.sim);
   select_k_local(collected, cfg, x);
+  return sims_slab(cfg, machines, x, collected);
+}
 
-  auto slab = std::make_unique<RowSlab>();
-  slab->ids.reserve(collected.size());
-  slab->scores.reserve(collected.size());
-  slab->machines.reserve(collected.size());
-  for (const auto& [w, s] : collected) {
-    slab->ids.push_back(w);
-    slab->scores.push_back(s);
-    slab->machines.push_back(
-        gas::edge_local_machine(x, w, machines, cfg.seed));
+/// Step 2 for a stale vertex x that is NOT a batch source, by re-scoring
+/// only `changed` = Γ(x) ∩ sources (ascending) — the out-neighbors whose
+/// sim(x, ·) the batch moved — and re-selecting klocal from
+/// (current ∖ changed) ∪ re-scored changed, where `current` is x's row
+/// before the batch. Bit-identical to recompute_sims_row whenever it
+/// returns a row (the header comment has the argument); returns null
+/// when the shortcut is not exact — a truncated row under Γrnd, or a
+/// truncated row in which a changed neighbor now ranks lower than
+/// before — and the caller then runs recompute_sims_row. `gamma_of` is
+/// recompute_sims_row's.
+template <typename GammaFn>
+[[nodiscard]] std::unique_ptr<RowSlab> rescore_sims_row(
+    const SnapleConfig& cfg, const ScoreConfig& score,
+    const OverlayGraph& overlay, std::uint32_t machines, VertexId x,
+    const PredictorModel::SimsView& current,
+    std::span<const VertexId> changed, GammaFn&& gamma_of) {
+  const bool truncated =
+      cfg.k_local != kUnlimited && overlay.out_degree(x) > cfg.k_local;
+  if (truncated && cfg.policy == SelectionPolicy::kRandom) return nullptr;
+  // A changed in-row neighbor ranks lower when its score moved away
+  // from the policy's end (same id, so the id tie-break cannot save it).
+  const auto ranks_lower = [&](float now, float before) {
+    return cfg.policy == SelectionPolicy::kMax ? now < before : now > before;
+  };
+
+  const std::span<const VertexId> gx = gamma_of(x);
+  std::vector<std::pair<VertexId, float>> collected;
+  collected.reserve(current.ids.size() + changed.size());
+  std::size_t i = 0;  // merge cursor into current (ascending ids)
+  for (const VertexId w : changed) {
+    for (; i < current.ids.size() && current.ids[i] < w; ++i) {
+      collected.emplace_back(current.ids[i], current.scores[i]);
+    }
+    const auto s = static_cast<float>(similarity(
+        score.metric, gx, gamma_of(w), overlay.out_degree(w)));
+    if (i < current.ids.size() && current.ids[i] == w) {
+      if (truncated && ranks_lower(s, current.scores[i])) return nullptr;
+      ++i;
+    }
+    collected.emplace_back(w, s);
   }
-  return slab;
+  for (; i < current.ids.size(); ++i) {
+    collected.emplace_back(current.ids[i], current.scores[i]);
+  }
+  select_k_local(collected, cfg, x);
+  return sims_slab(cfg, machines, x, collected);
 }
 
 /// Step 2b for one vertex: the machine-grouped path fold over CURRENT

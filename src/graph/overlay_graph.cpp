@@ -11,9 +11,22 @@ bool OverlayGraph::contains(const DeltaMap& map, VertexId u, VertexId v) {
   return std::binary_search(it->second.begin(), it->second.end(), v);
 }
 
+namespace {
+
+/// memory_bytes()'s per-bucket charge: the key plus the map node's link
+/// and row header.
+constexpr std::size_t kBucketBytes =
+    sizeof(VertexId) + sizeof(void*) + sizeof(std::vector<VertexId>);
+
+}  // namespace
+
 void OverlayGraph::sorted_insert(DeltaMap& map, VertexId u, VertexId v) {
-  auto& row = map[u];
+  const auto [it, fresh] = map.try_emplace(u);
+  auto& row = it->second;
+  const std::size_t capacity = row.capacity();
   row.insert(std::upper_bound(row.begin(), row.end(), v), v);
+  bytes_ += (fresh ? kBucketBytes : 0) +
+            (row.capacity() - capacity) * sizeof(VertexId);
 }
 
 void OverlayGraph::sorted_erase(DeltaMap& map, VertexId u, VertexId v) {
@@ -22,8 +35,11 @@ void OverlayGraph::sorted_erase(DeltaMap& map, VertexId u, VertexId v) {
   auto& row = it->second;
   const auto pos = std::lower_bound(row.begin(), row.end(), v);
   SNAPLE_CHECK(pos != row.end() && *pos == v);
-  row.erase(pos);
-  if (row.empty()) map.erase(it);
+  row.erase(pos);  // keeps the capacity
+  if (row.empty()) {
+    bytes_ -= kBucketBytes + row.capacity() * sizeof(VertexId);
+    map.erase(it);
+  }
 }
 
 void OverlayGraph::check_endpoints(VertexId u, VertexId v,
@@ -76,21 +92,6 @@ bool OverlayGraph::remove(VertexId u, VertexId v) {
   sorted_insert(in_tomb_, v, u);
   ++removed_;
   return true;
-}
-
-std::size_t OverlayGraph::memory_bytes() const noexcept {
-  // Rough: delta/tombstone ids + one bucket record per touched vertex.
-  constexpr std::size_t kPerRow =
-      sizeof(VertexId) + sizeof(void*) + sizeof(std::vector<VertexId>);
-  std::size_t bytes = 0;
-  for (const DeltaMap* map : {&out_delta_, &in_delta_, &out_tomb_, &in_tomb_}) {
-    bytes += map->size() * kPerRow;
-    for (const auto& [u, row] : *map) {
-      (void)u;
-      bytes += row.capacity() * sizeof(VertexId);
-    }
-  }
-  return bytes;
 }
 
 }  // namespace snaple

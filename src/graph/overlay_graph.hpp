@@ -130,8 +130,9 @@ class OverlayGraph {
   }
 
   /// Resident bytes of the delta and tombstone rows (the base graph is
-  /// accounted by its owner).
-  [[nodiscard]] std::size_t memory_bytes() const noexcept;
+  /// accounted by its owner): a running total the mutators keep, so
+  /// reading it is O(1).
+  [[nodiscard]] std::size_t memory_bytes() const noexcept { return bytes_; }
 
  private:
   using DeltaMap = std::unordered_map<VertexId, std::vector<VertexId>>;
@@ -147,10 +148,10 @@ class OverlayGraph {
                                      VertexId v);
 
   /// Inserts v into map[u]'s sorted row.
-  static void sorted_insert(DeltaMap& map, VertexId u, VertexId v);
+  void sorted_insert(DeltaMap& map, VertexId u, VertexId v);
   /// Erases v from map[u]'s sorted row (which must contain it),
   /// dropping the bucket when the row empties.
-  static void sorted_erase(DeltaMap& map, VertexId u, VertexId v);
+  void sorted_erase(DeltaMap& map, VertexId u, VertexId v);
 
   void check_endpoints(VertexId u, VertexId v, const char* verb) const;
 
@@ -188,6 +189,9 @@ class OverlayGraph {
   DeltaMap in_tomb_;
   std::size_t inserted_ = 0;
   std::size_t removed_ = 0;
+  /// memory_bytes(): row capacities plus one bucket record per touched
+  /// vertex (rough), over all four maps.
+  std::size_t bytes_ = 0;
 };
 
 }  // namespace snaple

@@ -16,16 +16,17 @@
 //   2. applies the batch to its own base+delta+tombstone overlay;
 //   3. derives the stale row sets (rows::compute_stale_sets — a pure
 //      function of batch + live graph, identical on every shard);
-//   4. recomputes and republishes ONLY the stale rows it owns — the
-//      1/S-th of the update work that is this shard's share — reading
-//      non-owned dependencies from the base model or recomputing them
-//      on the fly, with no wire traffic (kEdgeLocal's endpoint-hash-
-//      stable machine tags make every row a pure function of the live
-//      graph);
+//   4. refreshes ONLY the stale rows it owns — the 1/S-th of the
+//      update work that is this shard's share (a non-source sims row
+//      re-scores just its neighbors among the batch sources; a row
+//      that comes out unchanged keeps its slab) — reading non-owned
+//      dependencies from the base model or recomputing them on the
+//      fly, with no wire traffic (kEdgeLocal's endpoint-hash-stable
+//      machine tags make every row a pure function of the live graph);
 //   5. bumps row_version for EVERY stale vertex, owned or not, so all
 //      shards agree on every vertex's version with no coordination —
 //      and the versions key the hot-row cache (serve/row_cache.hpp), so
-//      a cached copy of a republished row can never serve again.
+//      a cached copy of a refreshed row can never serve again.
 //
 // Queries run through the same missing-rows/top-k body as the static
 // ModelShard (shard_missing_rows / shard_topk), plus a pinned root row.
@@ -79,7 +80,7 @@ class LiveShard {
 
   /// Applies one insert / remove batch (DynamicModel::add_edges /
   /// remove_edges): all-or-nothing, the same decision on every shard.
-  /// The row counts are this shard's owned republishes.
+  /// The row counts are this shard's owned stale-row refreshes.
   DynamicModel::UpdateStats apply(std::span<const Edge> batch) {
     return model_.add_edges(batch);
   }

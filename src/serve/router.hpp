@@ -46,7 +46,7 @@
 //             | u32 sims_len | sims_len × u32 id | sims_len × f32 score
 //             | u32 hop2_len | hop2_len × u32 id | hop2_len × f32 score
 //     update ok: u64 version | u64 gamma_rows | u64 sims_rows
-//              | u64 hop2_rows   (this shard's owned republish counts)
+//              | u64 hop2_rows   (this shard's owned stale rows refreshed)
 //     barrier ok: u64 version
 //
 // Pipelining: the router no longer runs lockstep request/response round
@@ -109,7 +109,7 @@ struct ShardStats {
   std::uint64_t update_edges = 0;    // edges inserted by them
   std::uint64_t remove_batches = 0;  // op-6 messages applied
   std::uint64_t remove_edges = 0;    // edges tombstoned by them
-  std::uint64_t gamma_republished = 0;  // owned rows recomputed
+  std::uint64_t gamma_republished = 0;  // owned stale rows refreshed
   std::uint64_t sims_republished = 0;
   std::uint64_t hop2_republished = 0;
   std::uint64_t overlay_bytes = 0;   // live-shard bytes beyond the base
@@ -211,7 +211,7 @@ class ShardServer {
   void handle_barrier(ByteChannel& ch);
   /// Shared body of handle_update/handle_remove: read the edge list,
   /// apply it to the live backend under update_mu_, reply with the
-  /// version + owned republish counts.
+  /// version + owned stale-row refresh counts.
   void handle_edge_batch(ByteChannel& ch, bool remove);
 
   // Backend dispatch (static ModelShard vs live LiveShard).

@@ -14,7 +14,7 @@
 //
 //   op 4 (update):  u32 count | count × (u32 src | u32 dst)
 //     ok payload:   u64 version | u64 gamma_rows | u64 sims_rows
-//                 | u64 hop2_rows   (the shard's OWNED republish counts)
+//                 | u64 hop2_rows   (the shard's OWNED refresh counts)
 //   op 6 (remove):  identical payload and reply — the batch is
 //                   tombstoned instead of inserted
 //   op 5 (barrier): no payload
@@ -52,7 +52,7 @@
 namespace snaple::serve {
 
 /// Write-plane counters (cumulative; row counts are summed over the
-/// shards' owned republishes, i.e. GLOBAL stale-row counts, since shard
+/// shards' owned stale-row refreshes, i.e. GLOBAL stale-row counts, since shard
 /// ranges partition the vertex space).
 struct UpdateStats {
   std::uint64_t batches = 0;  // insert batches

@@ -10,8 +10,11 @@
 // owning half the vertices, fed the same stream, must match the refit
 // on its owned rows and the full model on every row version. The suite
 // also pins the version-counter semantics, invalid-insert and
-// invalid-remove rejection (atomic, model untouched), and lock-free
-// concurrent reads during mixed insert+remove writer bursts.
+// invalid-remove rejection (atomic, model untouched), lock-free
+// concurrent reads during mixed insert+remove writer bursts, and the
+// refresh path — non-source sims rows re-scored on just the neighbors a
+// batch changed, unchanged rows keeping their slab — across policies,
+// klocal and score shapes plus one hand-built case per branch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -373,6 +376,244 @@ TEST(DynamicModelEquivalence, RemoveThenReaddRestoresTheOriginalFit) {
   EXPECT_EQ(dyn.graph().num_inserted(), 0u);
   EXPECT_TRUE(dyn.freeze() == *model);
   expect_identical_serving(dyn, *model, "remove-then-readd");
+}
+
+// ---------- the sims refresh: re-score only what the batch changed ----------
+
+TEST(DynamicModelRescore, RefreshMatchesLiveGraphRefitAcrossPoliciesAndScores) {
+  // A stale sims row that is not a batch source re-scores only its
+  // out-neighbors among the sources and re-selects klocal from its old
+  // row plus those — falling back to a full recompute when that is not
+  // exact. Whatever mix of the two ran, a churn of insert and remove
+  // batches must land on the live-graph refit, for every policy, with
+  // klocal truncating hard (1, 3) or not at all, under Jaccard scores,
+  // all-tie scores (counter) and inverse-degree scores (PPR) — on a
+  // whole model and on one owning half the vertices.
+  const CsrGraph full = gen::make_dataset("gowalla", 0.02, 19);
+  const Split split = split_graph(full, 40);
+  const auto base_edges = split.base->edges();
+  for (const SelectionPolicy policy :
+       {SelectionPolicy::kMax, SelectionPolicy::kMin,
+        SelectionPolicy::kRandom}) {
+    for (const std::size_t k_local : {std::size_t{1}, std::size_t{3},
+                                      kUnlimited}) {
+      for (const ScoreKind score :
+           {ScoreKind::kLinearSum, ScoreKind::kCounter, ScoreKind::kPpr}) {
+        SnapleConfig cfg;
+        cfg.policy = policy;
+        cfg.k_local = k_local;
+        cfg.score = score;
+        cfg.seed = 19;
+        const std::string what =
+            "policy=" + policy_name(policy) + " k_local=" +
+            (k_local == kUnlimited ? "inf" : std::to_string(k_local)) +
+            " score=" + score_name(score);
+
+        const auto base_model =
+            fit_edge_local(*split.base, cfg, 4, gas::ExecutionMode::kFlat);
+        const VertexId n = base_model->num_vertices();
+        DynamicModel dyn(base_model, split.base);
+        DynamicModel half(base_model, split.base, nullptr,
+                          gas::VertexRange{n / 2, n});
+        std::uint64_t rescored = 0;
+        std::uint64_t half_rescored = 0;
+        const auto apply = [&](bool remove, const std::vector<Edge>& b) {
+          const auto s = remove ? dyn.remove_edges(b) : dyn.add_edges(b);
+          const auto h = remove ? half.remove_edges(b) : half.add_edges(b);
+          EXPECT_LE(s.sims_rescored, s.sims_rows) << what;
+          rescored += s.sims_rescored;
+          half_rescored += h.sims_rescored;
+        };
+
+        // Batches of 1–4 inserts of held-back edges, removals of live
+        // base or inserted edges, and re-adds of removed ones.
+        std::mt19937 rng(static_cast<unsigned>(k_local % 97) * 7 +
+                         static_cast<unsigned>(score));
+        std::vector<Edge> removed;
+        std::size_t next_insert = 0;
+        for (std::size_t op = 0; op < 40; ++op) {
+          std::vector<Edge> batch;
+          const std::size_t len = 1 + rng() % 4;
+          const bool remove = rng() % 3 == 0;
+          for (std::size_t i = 0; i < len; ++i) {
+            Edge e{};
+            if (remove) {
+              e = next_insert > 0 && rng() % 3 == 0
+                      ? split.inserts[rng() % next_insert]
+                      : base_edges[rng() % base_edges.size()];
+              if (!dyn.graph().has_edge(e.src, e.dst)) continue;
+            } else if (!removed.empty() && rng() % 4 == 0) {
+              e = removed[rng() % removed.size()];
+              if (dyn.graph().has_edge(e.src, e.dst)) continue;
+            } else if (next_insert < split.inserts.size()) {
+              e = split.inserts[next_insert++];
+            } else {
+              continue;
+            }
+            if (std::find(batch.begin(), batch.end(), e) == batch.end()) {
+              batch.push_back(e);
+            }
+          }
+          if (batch.empty()) continue;
+          apply(remove, batch);
+          if (remove) removed.insert(removed.end(), batch.begin(), batch.end());
+        }
+        ASSERT_FALSE(removed.empty()) << what;
+
+        const CsrGraph live = materialize(dyn.graph());
+        const auto refit =
+            fit_edge_local(live, cfg, 4, gas::ExecutionMode::kFlat);
+        EXPECT_TRUE(dyn.freeze() == *refit) << what;
+        expect_ranged_identical(half, dyn, *refit, what);
+        // Γmax/Γmin may re-score any non-source row and every policy may
+        // re-score an untruncated one: the fast path must have run, so
+        // an always-fallback refresh cannot pass for exact.
+        if (policy != SelectionPolicy::kRandom || k_local == kUnlimited) {
+          EXPECT_GT(rescored, 0u) << what;
+          EXPECT_GT(half_rescored, 0u) << what;
+        }
+      }
+    }
+  }
+}
+
+/// A hand-sized graph whose sims are easy to steer under PPR scores
+/// (sim(x, w) = 1/|Γ(w)|): x = 0 points at 1, 2 and 3, whose
+/// out-degrees 1, 2, 3 give sims 1, 1/2 and 1/3; vertices 4.. are
+/// sinks. Only 0 points at 1–3, so a batch whose sources are among 1–3
+/// stales exactly those sources' sims rows plus row 0 — the one
+/// non-source row.
+struct SteerGraph {
+  static constexpr VertexId kX = 0;
+  static constexpr VertexId kVertices = 16;
+  std::shared_ptr<const CsrGraph> graph;
+  std::shared_ptr<const PredictorModel> model;
+};
+
+SteerGraph steer_graph(SelectionPolicy policy, std::size_t k_local) {
+  GraphBuilder b(SteerGraph::kVertices);
+  for (const Edge& e : std::vector<Edge>{{0, 1}, {0, 2}, {0, 3}, {1, 4},
+                                         {2, 4}, {2, 5}, {3, 4}, {3, 5},
+                                         {3, 6}}) {
+    b.add_edge(e.src, e.dst);
+  }
+  SnapleConfig cfg;
+  cfg.score = ScoreKind::kPpr;
+  cfg.policy = policy;
+  cfg.k_local = k_local;
+  SteerGraph out;
+  out.graph = std::make_shared<const CsrGraph>(b.build());
+  out.model = fit_edge_local(*out.graph, cfg, 1, gas::ExecutionMode::kFlat);
+  return out;
+}
+
+TEST(DynamicModelRescore, EachBranchOfTheRefreshIsExact) {
+  // One batch per branch of the refresh of row 0 (see steer_graph):
+  // which neighbors the row keeps afterwards, and whether it was
+  // re-scored (1) or fell back to a full recompute (0).
+  struct Case {
+    const char* name;
+    SelectionPolicy policy;
+    std::size_t k_local;
+    bool remove;
+    std::vector<Edge> batch;
+    std::vector<VertexId> row;  // sims(0) ids afterwards
+    std::uint64_t rescored;
+  };
+  const auto kMax = SelectionPolicy::kMax;
+  const auto kMin = SelectionPolicy::kMin;
+  const std::vector<Case> cases = {
+      // 3 drops to out-degree 1: sim 1/3 → 1 beats 2's 1/2.
+      {"changed neighbor enters", kMax, 2, true, {{3, 5}, {3, 6}}, {1, 3}, 1},
+      // 3 gains an out-edge: sim 1/3 → 1/4, still below the row.
+      {"changed neighbor stays out", kMax, 2, false, {{3, 7}}, {1, 2}, 1},
+      // 2 drops to out-degree 1: its in-row sim rises 1/2 → 1.
+      {"in-row neighbor rises", kMax, 2, true, {{2, 5}}, {1, 2}, 1},
+      // 1 grows to out-degree 4: its in-row sim drops 1 → 1/4, so 3
+      // (never scored by a re-score) overtakes it — full recompute.
+      {"in-row neighbor drops", kMax, 2, false, {{1, 5}, {1, 6}, {1, 7}},
+       {2, 3}, 0},
+      // The same drop on an untruncated row (deg 3 <= klocal): every
+      // neighbor is kept, so a re-score is exact.
+      {"untruncated row", kMax, 3, false, {{1, 5}, {1, 6}, {1, 7}},
+       {1, 2, 3}, 1},
+      // Γmin keeps the least similar {2, 3}; 3's sim rises 1/3 → 1/2,
+      // which ranks it lower under Γmin — full recompute.
+      {"min: in-row neighbor worsens", kMin, 2, true, {{3, 5}}, {2, 3}, 0},
+      // 2's sim falls 1/2 → 1/3: better under Γmin, re-scored.
+      {"min: in-row neighbor improves", kMin, 2, false, {{2, 7}}, {2, 3},
+       1},
+      // Γrnd's shuffle keys on the whole candidate list: a truncated
+      // Γrnd row always recomputes.
+      {"random: truncated row", SelectionPolicy::kRandom, 2, false,
+       {{3, 7}}, {}, 0},
+  };
+  for (const Case& c : cases) {
+    const SteerGraph sg = steer_graph(c.policy, c.k_local);
+    DynamicModel dyn(sg.model, sg.graph);
+    const auto stats =
+        c.remove ? dyn.remove_edges(c.batch) : dyn.add_edges(c.batch);
+    EXPECT_EQ(stats.sims_rows, 2u) << c.name;  // the source and row 0
+    EXPECT_EQ(stats.sims_rescored, c.rescored) << c.name;
+    if (!c.row.empty()) {
+      EXPECT_TRUE(std::ranges::equal(dyn.sims(SteerGraph::kX).ids, c.row))
+          << c.name;
+    }
+    const auto refit = fit_edge_local(materialize(dyn.graph()),
+                                      sg.model->config(), 1,
+                                      gas::ExecutionMode::kFlat);
+    EXPECT_TRUE(dyn.freeze() == *refit) << c.name;
+  }
+}
+
+TEST(DynamicModelRescore, UnchangedRowKeepsItsSlabButBumpsItsVersion) {
+  // A refreshed row that comes out byte-identical keeps the slab readers
+  // already hold — no new slab, less overlay growth — while its
+  // row_version still bumps, identically on every owner's instance.
+  const SteerGraph sg = steer_graph(SelectionPolicy::kMax, 2);
+  const VertexId n = SteerGraph::kVertices;
+  const VertexId x = SteerGraph::kX;
+  DynamicModel dyn(sg.model, sg.graph);
+  DynamicModel lo(sg.model, sg.graph, nullptr, gas::VertexRange{0, n / 2});
+  DynamicModel hi(sg.model, sg.graph, nullptr, gas::VertexRange{n / 2, n});
+  const auto apply = [&](const Edge& e) {
+    const auto s = dyn.add_edge(e.src, e.dst);
+    (void)lo.add_edge(e.src, e.dst);
+    (void)hi.add_edge(e.src, e.dst);
+    return s;
+  };
+
+  // 3 gains an out-edge: row 0 stays {1, 2} with the same scores.
+  const auto before = dyn.sims(x);
+  const auto lo_before = lo.sims(x);
+  const std::size_t bytes0 = dyn.overlay_bytes();
+  EXPECT_EQ(apply({3, 7}).sims_rescored, 1u);
+  const std::size_t unchanged_growth = dyn.overlay_bytes() - bytes0;
+  EXPECT_EQ(dyn.sims(x).ids.data(), before.ids.data());
+  EXPECT_EQ(dyn.sims(x).scores.data(), before.scores.data());
+  EXPECT_EQ(lo.sims(x).ids.data(), lo_before.ids.data());
+  for (const DynamicModel* m : {&dyn, &lo, &hi}) {
+    EXPECT_EQ(m->row_version(x), 1u);
+  }
+
+  // 2 gains one too: the same overlay growth, but row 0's score for 2
+  // drops to 1/3 — a new slab.
+  const std::size_t bytes1 = dyn.overlay_bytes();
+  (void)apply({2, 8});
+  const std::size_t changed_growth = dyn.overlay_bytes() - bytes1;
+  EXPECT_NE(dyn.sims(x).scores.data(), before.scores.data());
+  EXPECT_LT(unchanged_growth, changed_growth);
+  for (const DynamicModel* m : {&dyn, &lo, &hi}) {
+    EXPECT_EQ(m->row_version(x), 2u);
+    EXPECT_EQ(m->version(), 2u);
+  }
+
+  const auto refit = fit_edge_local(materialize(dyn.graph()),
+                                    sg.model->config(), 1,
+                                    gas::ExecutionMode::kFlat);
+  EXPECT_TRUE(dyn.freeze() == *refit);
+  expect_ranged_identical(lo, dyn, *refit, "lo");
+  expect_ranged_identical(hi, dyn, *refit, "hi");
 }
 
 // ---------- version counters ----------

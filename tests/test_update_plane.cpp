@@ -420,6 +420,61 @@ TEST(UpdatePlaneCache, WarmCacheStaysCoherentThroughRemovals) {
   EXPECT_GT(after.misses, warm.misses);  // republished rows re-fetch
 }
 
+TEST(UpdatePlaneCache, UnchangedRowStillDropsAndRefetches) {
+  // A stale row whose refresh comes out byte-identical keeps its slab on
+  // the owner, but its version still bumps — so a peer's warm cached copy
+  // is dropped and refetched exactly as for a changed row. Graph: under
+  // PPR scores (sim(x, w) = 1/|Γ(w)|) vertex 0 keeps {1, 2} of its
+  // neighbors 1, 2, 3 (out-degrees 1, 2, 3), and the last vertex follows
+  // 0 alone, so a query for it folds row 0 — fetched from 0's shard.
+  constexpr VertexId kN = 16;
+  constexpr VertexId kFollower = kN - 1;
+  GraphBuilder b(kN);
+  for (const Edge& e : std::vector<Edge>{{0, 1}, {0, 2}, {0, 3}, {1, 4},
+                                         {2, 4}, {2, 5}, {3, 4}, {3, 5},
+                                         {3, 6}, {kFollower, 0}}) {
+    b.add_edge(e.src, e.dst);
+  }
+  const auto g = std::make_shared<const CsrGraph>(b.build());
+  SnapleConfig cfg;
+  cfg.score = ScoreKind::kPpr;
+  cfg.k_local = 2;
+  const auto base_model = fit_edge_local(*g, cfg, 1);
+
+  ServingCluster cluster(base_model, g,
+                         live_options(2, TransportKind::kInProcess, 1 << 20));
+  const auto& ranges = cluster.ranges();
+  ASSERT_NE(gas::range_owner(ranges, 0), gas::range_owner(ranges, kFollower));
+
+  // Warm the follower's shard on row 0, then hit it once.
+  (void)cluster.router().topk(kFollower);
+  (void)cluster.router().topk(kFollower);
+  const auto warm = cluster.cache_stats();
+  ASSERT_EQ(warm.insertions, 1u);
+  ASSERT_EQ(warm.hits, 1u);
+
+  // 3 gains an out-edge: its sim from 0 falls 1/3 → 1/4, still outside
+  // row 0, which is refreshed unchanged — and re-versioned.
+  const Edge e{3, 7};
+  const auto stats = cluster.update_router().apply({&e, 1});
+  EXPECT_EQ(stats.sims_rows, 2u);  // rows 3 and 0
+  EXPECT_EQ(cluster.update_router().barrier(), 1u);
+
+  GraphBuilder lb(kN);
+  for (const Edge& old : g->edges()) lb.add_edge(old.src, old.dst);
+  lb.add_edge(e.src, e.dst);
+  const QueryEngine engine(fit_edge_local(lb.build(), cfg, 1));
+  EXPECT_EQ(cluster.router().topk(kFollower), engine.topk(kFollower));
+  const auto after = cluster.cache_stats();
+  EXPECT_EQ(after.stale_drops, warm.stale_drops + 1);  // old version out
+  EXPECT_EQ(after.insertions, warm.insertions + 1);    // refetched
+  EXPECT_EQ(after.hits, warm.hits);
+
+  // The refetched copy serves the next query from the cache again.
+  EXPECT_EQ(cluster.router().topk(kFollower), engine.topk(kFollower));
+  EXPECT_EQ(cluster.cache_stats().hits, after.hits + 1);
+}
+
 // ---------- queries stay live during writer bursts ----------
 
 TEST(UpdatePlaneConcurrency, ReadersNeverBlockOrTearDuringBursts) {
@@ -770,6 +825,56 @@ TEST(UpdatePlaneStats, CountersTrackBatchesRowsAndBytes) {
 
   EXPECT_EQ(plane.barrier(), 8u);
   EXPECT_EQ(plane.stats().version, 8u);
+}
+
+TEST(UpdatePlaneStats, StatsArePollableThroughChurn) {
+  // Every ShardStats field is readable while the cluster serves —
+  // overlay_bytes included, which the shards' update links grow and
+  // shrink as they apply. A second thread polls cluster.stats()
+  // through a mixed insert/remove burst (a data race here is what the
+  // ThreadSanitizer job would report).
+  const CsrGraph full = gen::make_dataset("gowalla", 0.02, 13);
+  const Split split = split_graph(full, 24);
+  const Churn churn = make_churn(split, 13);
+  SnapleConfig cfg;
+  cfg.k_hops = 3;
+  cfg.k_local = 10;
+  cfg.seed = 13;
+  const auto base_model = fit_edge_local(*split.base, cfg, 4);
+  ServingCluster cluster(base_model, split.base,
+                         live_options(2, TransportKind::kInProcess));
+
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> polls{0};
+  std::atomic<std::uint64_t> max_overlay{0};
+  std::thread poller([&] {
+    while (!done.load(std::memory_order_relaxed)) {
+      std::uint64_t overlay = 0;
+      for (const auto& s : cluster.stats()) overlay += s.overlay_bytes;
+      if (overlay > max_overlay.load()) max_overlay.store(overlay);
+      polls.fetch_add(1);
+    }
+  });
+  while (polls.load() == 0) std::this_thread::yield();
+  for (const EdgeOp& op : churn.ops) {
+    if (op.remove) {
+      (void)cluster.update_router().remove(op.edges);
+    } else {
+      (void)cluster.update_router().apply(op.edges);
+    }
+  }
+  EXPECT_EQ(cluster.update_router().barrier(), churn.total_edges);
+  done.store(true);
+  poller.join();
+
+  std::uint64_t overlay = 0;
+  for (const auto& s : cluster.stats()) {
+    EXPECT_EQ(s.update_edges + s.remove_edges, churn.total_edges);
+    overlay += s.overlay_bytes;
+  }
+  EXPECT_GT(polls.load(), 1u);
+  EXPECT_GT(overlay, 0u);
+  EXPECT_GT(max_overlay.load(), 0u);
 }
 
 // ---------- fail-stop: a dead link kills the whole plane ----------
