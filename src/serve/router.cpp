@@ -1,7 +1,8 @@
 #include "serve/router.hpp"
 
 #include <algorithm>
-#include <cstring>
+#include <exception>
+#include <span>
 #include <string>
 
 #include "serve/wire.hpp"
@@ -141,229 +142,157 @@ ShardStats ShardServer::stats() const {
 void ShardServer::serve_loop(ByteChannel& ch) {
   try {
     for (;;) {
-      const auto op = get<std::uint8_t>(ch);
-      if (op == kOpTopk) {
-        handle_topk(ch);
-      } else if (op == kOpFetch) {
-        handle_fetch(ch);
-      } else if (op == kOpBatch) {
-        handle_topk_batch(ch);
-      } else if (op == kOpUpdate) {
-        handle_update(ch);
-      } else if (op == kOpRemove) {
-        handle_remove(ch);
-      } else if (op == kOpBarrier) {
-        handle_barrier(ch);
-      } else {
-        // Unknown opcode = the stream is desynced; an error response
-        // then EOF is all that can be said safely.
-        std::vector<std::uint8_t> buf;
-        put_error(buf, "unknown opcode " + std::to_string(op));
-        send_buffer(ch, buf);
-        break;
+      // The request payload read off the wire and the response frame
+      // assembled for it. Fresh per message: buffers kept for the life
+      // of a connection measurably raised the live plane's RSS growth.
+      std::vector<std::uint8_t> payload;
+      std::vector<std::uint8_t> out;
+      const std::uint8_t op = read_op(ch);
+      Reader in(read_payload(ch, payload));
+      try {
+        begin_frame(out, kStatusOk);
+        handle(op, in, out);
+        seal_frame(out);
+      } catch (const TransportError&) {
+        throw;  // the link itself died — no response possible
+      } catch (const std::exception& e) {
+        // The request frame was read whole, so even a malformed payload
+        // or an unknown op leaves the stream in sync: answer and go on.
+        put_error(out, e.what());
+        errors_.fetch_add(1, std::memory_order_relaxed);
       }
+      ch.send(out.data(), out.size());
     }
   } catch (const TransportError&) {
-    // Link closed (router/cluster shutdown, or peer death): clean exit.
+    // Link closed (router/cluster shutdown, or peer death), or a frame
+    // over the cap: clean exit.
   }
   ch.close();
 }
 
-void ShardServer::handle_topk(ByteChannel& ch) {
-  const auto u = get<std::uint32_t>(ch);
-  const auto k = get<std::uint64_t>(ch);
-  queries_.fetch_add(1, std::memory_order_relaxed);
+void ShardServer::handle(std::uint8_t op, Reader& in,
+                         std::vector<std::uint8_t>& out) {
+  switch (op) {
+    case kOpTopk:
+      return handle_topk(in, out);
+    case kOpFetch:
+      return handle_fetch(in, out);
+    case kOpBatch:
+      return handle_topk_batch(in, out);
+    case kOpUpdate:
+      return handle_edge_batch(in, out, /*remove=*/false);
+    case kOpRemove:
+      return handle_edge_batch(in, out, /*remove=*/true);
+    case kOpBarrier:
+      return handle_barrier(in, out);
+    default:
+      throw CheckError("unknown opcode " + std::to_string(op));
+  }
+}
 
-  std::vector<std::uint8_t> buf;
-  try {
-    SNAPLE_CHECK_MSG(owns(u), "query vertex " + std::to_string(u) +
+void ShardServer::handle_topk(Reader& in, std::vector<std::uint8_t>& out) {
+  const auto u = in.get<std::uint32_t>();
+  const auto k = in.get<std::uint64_t>();
+  in.expect_end();
+  queries_.fetch_add(1, std::memory_order_relaxed);
+  SNAPLE_CHECK_MSG(owns(u), "query vertex " + std::to_string(u) +
+                                " routed to the wrong shard [" +
+                                std::to_string(range().begin) + ", " +
+                                std::to_string(range().end) + ")");
+  const VertexId user = u;
+  const ResolvedRows rows = collect_rows({&user, 1});
+  put_scored(out, topk(u, static_cast<std::size_t>(k), &rows.overlay,
+                       rows.roots.empty() ? nullptr : rows.roots.data()));
+}
+
+void ShardServer::handle_topk_batch(Reader& in,
+                                    std::vector<std::uint8_t>& out) {
+  const auto k = in.get<std::uint64_t>();
+  std::vector<VertexId> users;
+  in.get_array(users, in.get_count(sizeof(VertexId)));
+  in.expect_end();
+  batch_requests_.fetch_add(1, std::memory_order_relaxed);
+  queries_.fetch_add(users.size(), std::memory_order_relaxed);
+  for (const VertexId u : users) {
+    SNAPLE_CHECK_MSG(owns(u), "batched query vertex " + std::to_string(u) +
                                   " routed to the wrong shard [" +
                                   std::to_string(range().begin) + ", " +
                                   std::to_string(range().end) + ")");
-    const VertexId user = u;
-    const ResolvedRows rows = collect_rows({&user, 1});
-    const auto result =
-        topk(u, static_cast<std::size_t>(k), &rows.overlay,
-             rows.roots.empty() ? nullptr : rows.roots.data());
-    put<std::uint8_t>(buf, kStatusOk);
-    put_scored(buf, result);
-  } catch (const TransportError&) {
-    throw;  // the frontend link itself died — no response possible
-  } catch (const std::exception& e) {
-    buf.clear();
-    put_error(buf, e.what());
-    errors_.fetch_add(1, std::memory_order_relaxed);
   }
-  send_buffer(ch, buf);
+  // The union of the batch's missing rows, resolved ONCE: at most one
+  // peer fetch per owning shard for the whole batch — the server-side
+  // half of the batching win (the wire-message half is the router's).
+  const ResolvedRows rows = collect_rows(users);
+  for (std::size_t i = 0; i < users.size(); ++i) {
+    put_scored(out,
+               topk(users[i], static_cast<std::size_t>(k), &rows.overlay,
+                    rows.roots.empty() ? nullptr : &rows.roots[i]));
+  }
 }
 
-void ShardServer::handle_topk_batch(ByteChannel& ch) {
-  const auto k = get<std::uint64_t>(ch);
-  const auto count = get<std::uint32_t>(ch);
-  std::vector<VertexId> users;
-  get_array(ch, users, count);
-  batch_requests_.fetch_add(1, std::memory_order_relaxed);
-  queries_.fetch_add(count, std::memory_order_relaxed);
-
-  std::vector<std::uint8_t> buf;
-  try {
-    for (const VertexId u : users) {
-      SNAPLE_CHECK_MSG(owns(u), "batched query vertex " +
-                                    std::to_string(u) +
-                                    " routed to the wrong shard [" +
-                                    std::to_string(range().begin) + ", " +
-                                    std::to_string(range().end) + ")");
-    }
-    // The union of the batch's missing rows, resolved ONCE: at most one
-    // peer fetch per owning shard for the whole batch — the server-side
-    // half of the batching win (the wire-message half is the router's).
-    const ResolvedRows rows = collect_rows(users);
-    std::vector<std::uint8_t> payload;
-    for (std::size_t i = 0; i < users.size(); ++i) {
-      put_scored(payload,
-                 topk(users[i], static_cast<std::size_t>(k), &rows.overlay,
-                      rows.roots.empty() ? nullptr : &rows.roots[i]));
-    }
-    put<std::uint8_t>(buf, kStatusOk);
-    buf.insert(buf.end(), payload.begin(), payload.end());
-  } catch (const TransportError&) {
-    throw;  // the frontend link itself died — no response possible
-  } catch (const std::exception& e) {
-    buf.clear();
-    put_error(buf, e.what());
-    errors_.fetch_add(1, std::memory_order_relaxed);
-  }
-  send_buffer(ch, buf);
-}
-
-void ShardServer::handle_fetch(ByteChannel& ch) {
-  const auto count = get<std::uint32_t>(ch);
+void ShardServer::handle_fetch(Reader& in, std::vector<std::uint8_t>& out) {
   std::vector<VertexId> ids;
-  get_array(ch, ids, count);
-
-  std::vector<std::uint8_t> buf;
-  try {
-    std::vector<std::uint8_t> payload;
-    for (const VertexId v : ids) {
-      SNAPLE_CHECK_MSG(owns(v), "fetch for vertex " + std::to_string(v) +
-                                    " sent to a non-owning shard");
-      if (live_ != nullptr) {
-        // Version-consistent snapshot: content and version read under
-        // the live shard's retry loop, so the bytes shipped are never
-        // older than the version they ship under.
-        const LiveShard::VersionedRow snap = live_->snapshot_row(v);
-        put<std::uint64_t>(payload, snap.version);
-        const HotRow& row = *snap.row;
-        put<std::uint32_t>(payload,
-                           static_cast<std::uint32_t>(row.sims_ids.size()));
-        put_span<VertexId>(payload, row.sims_ids);
-        put_span<float>(payload, row.sims_scores);
-        put<std::uint32_t>(payload,
-                           static_cast<std::uint32_t>(row.hop2_ids.size()));
-        put_span<VertexId>(payload, row.hop2_ids);
-        put_span<float>(payload, row.hop2_scores);
-        continue;
-      }
-      put<std::uint64_t>(payload, row_version(v));
-      const auto sv = shard_->sims(v);
-      put<std::uint32_t>(payload,
-                         static_cast<std::uint32_t>(sv.ids.size()));
-      put_span(payload, sv.ids);
-      put_span(payload, sv.scores);
-      const auto hv = shard_->hop2(v);
-      put<std::uint32_t>(payload,
-                         static_cast<std::uint32_t>(hv.ids.size()));
-      put_span(payload, hv.ids);
-      put_span(payload, hv.scores);
+  in.get_array(ids, in.get_count(sizeof(VertexId)));
+  in.expect_end();
+  for (const VertexId v : ids) {
+    SNAPLE_CHECK_MSG(owns(v), "fetch for vertex " + std::to_string(v) +
+                                  " sent to a non-owning shard");
+    if (live_ != nullptr) {
+      // Version-consistent snapshot: content and version read under
+      // the live shard's retry loop, so the bytes shipped are never
+      // older than the version they ship under.
+      const LiveShard::VersionedRow snap = live_->snapshot_row(v);
+      const HotRow& row = *snap.row;
+      put_row(out, snap.version, row.sims_ids, row.sims_scores,
+              row.hop2_ids, row.hop2_scores);
+      continue;
     }
-    put<std::uint8_t>(buf, kStatusOk);
-    buf.insert(buf.end(), payload.begin(), payload.end());
-  } catch (const std::exception& e) {
-    buf.clear();
-    put_error(buf, e.what());
-    errors_.fetch_add(1, std::memory_order_relaxed);
+    const auto sv = shard_->sims(v);
+    const auto hv = shard_->hop2(v);
+    put_row(out, row_version(v), sv.ids, sv.scores, hv.ids, hv.scores);
   }
-  send_buffer(ch, buf);
 }
 
-void ShardServer::handle_update(ByteChannel& ch) {
-  handle_edge_batch(ch, /*remove=*/false);
+void ShardServer::handle_edge_batch(Reader& in,
+                                    std::vector<std::uint8_t>& out,
+                                    bool remove) {
+  // Edge is {u32 src, u32 dst} — the wire layout, copied in place.
+  static_assert(sizeof(Edge) == 2 * sizeof(VertexId));
+  std::vector<Edge> batch;
+  in.get_array(batch, in.get_count(sizeof(Edge)));
+  in.expect_end();
+  SNAPLE_CHECK_MSG(live_ != nullptr,
+                   remove ? "remove sent to a static shard — build the "
+                            "cluster in live mode to apply removals"
+                          : "update sent to a static shard — build the "
+                            "cluster in live mode to apply inserts");
+  DynamicModel::UpdateStats applied;
+  {
+    // One link carries the plane's writes in normal operation; the lock
+    // makes multi-link configurations safe rather than racy.
+    std::lock_guard<std::mutex> lock(update_mu_);
+    applied = remove ? live_->apply_removes(batch) : live_->apply(batch);
+  }
+  auto& batches = remove ? remove_batches_ : update_batches_;
+  auto& edges = remove ? remove_edges_ : update_edges_;
+  batches.fetch_add(1, std::memory_order_relaxed);
+  edges.fetch_add(applied.edges, std::memory_order_relaxed);
+  gamma_republished_.fetch_add(applied.gamma_rows, std::memory_order_relaxed);
+  sims_republished_.fetch_add(applied.sims_rows, std::memory_order_relaxed);
+  hop2_republished_.fetch_add(applied.hop2_rows, std::memory_order_relaxed);
+  put<std::uint64_t>(out, applied.version);
+  put<std::uint64_t>(out, applied.gamma_rows);
+  put<std::uint64_t>(out, applied.sims_rows);
+  put<std::uint64_t>(out, applied.hop2_rows);
 }
 
-void ShardServer::handle_remove(ByteChannel& ch) {
-  handle_edge_batch(ch, /*remove=*/true);
-}
-
-void ShardServer::handle_edge_batch(ByteChannel& ch, bool remove) {
-  const auto count = get<std::uint32_t>(ch);
-  std::vector<Edge> batch(count);
-  if (count != 0) {
-    // Edge is {u32 src, u32 dst} — the wire layout, read in place.
-    static_assert(sizeof(Edge) == 2 * sizeof(VertexId));
-    ch.recv(batch.data(), count * sizeof(Edge));
-  }
-
-  std::vector<std::uint8_t> buf;
-  try {
-    SNAPLE_CHECK_MSG(live_ != nullptr,
-                     remove ? "remove sent to a static shard — build the "
-                              "cluster in live mode to apply removals"
-                            : "update sent to a static shard — build the "
-                              "cluster in live mode to apply inserts");
-    DynamicModel::UpdateStats applied;
-    {
-      // One link carries the plane's writes in normal operation; the
-      // lock makes multi-link configurations safe rather than racy.
-      std::lock_guard<std::mutex> lock(update_mu_);
-      applied = remove ? live_->apply_removes(batch) : live_->apply(batch);
-    }
-    auto& batches = remove ? remove_batches_ : update_batches_;
-    auto& edges = remove ? remove_edges_ : update_edges_;
-    batches.fetch_add(1, std::memory_order_relaxed);
-    edges.fetch_add(applied.edges, std::memory_order_relaxed);
-    gamma_republished_.fetch_add(applied.gamma_rows,
-                                 std::memory_order_relaxed);
-    sims_republished_.fetch_add(applied.sims_rows,
-                                std::memory_order_relaxed);
-    hop2_republished_.fetch_add(applied.hop2_rows,
-                                std::memory_order_relaxed);
-    put<std::uint8_t>(buf, kStatusOk);
-    put<std::uint64_t>(buf, applied.version);
-    put<std::uint64_t>(buf, applied.gamma_rows);
-    put<std::uint64_t>(buf, applied.sims_rows);
-    put<std::uint64_t>(buf, applied.hop2_rows);
-  } catch (const TransportError&) {
-    throw;  // the update link itself died — no response possible
-  } catch (const std::exception& e) {
-    buf.clear();
-    put_error(buf, e.what());
-    errors_.fetch_add(1, std::memory_order_relaxed);
-  }
-  send_buffer(ch, buf);
-}
-
-void ShardServer::handle_barrier(ByteChannel& ch) {
-  std::vector<std::uint8_t> buf;
-  try {
-    SNAPLE_CHECK_MSG(live_ != nullptr,
-                     "barrier sent to a static shard");
-    // Serialize behind any in-flight apply: the version returned is a
-    // quiescent point, not a mid-batch read.
-    std::uint64_t version = 0;
-    {
-      std::lock_guard<std::mutex> lock(update_mu_);
-      version = live_->version();
-    }
-    put<std::uint8_t>(buf, kStatusOk);
-    put<std::uint64_t>(buf, version);
-  } catch (const TransportError&) {
-    throw;
-  } catch (const std::exception& e) {
-    buf.clear();
-    put_error(buf, e.what());
-    errors_.fetch_add(1, std::memory_order_relaxed);
-  }
-  send_buffer(ch, buf);
+void ShardServer::handle_barrier(Reader& in, std::vector<std::uint8_t>& out) {
+  in.expect_end();
+  SNAPLE_CHECK_MSG(live_ != nullptr, "barrier sent to a static shard");
+  // Serialize behind any in-flight apply: the version returned is a
+  // quiescent point, not a mid-batch read.
+  std::lock_guard<std::mutex> lock(update_mu_);
+  put<std::uint64_t>(out, live_->version());
 }
 
 ShardServer::ResolvedRows ShardServer::collect_rows(
@@ -420,57 +349,97 @@ ShardServer::ResolvedRows ShardServer::collect_rows(
 
 std::vector<ShardServer::FetchedRow> ShardServer::fetch_remote(
     const std::vector<VertexId>& missing) {
-  std::vector<FetchedRow> out;
-  out.reserve(missing.size());
-
   // `missing` is sorted and ranges are contiguous ascending, so each
-  // owner's ids form one consecutive run — one batched request per run,
-  // rows appended in order, parallel to `missing`.
-  std::size_t i = 0;
-  while (i < missing.size()) {
-    const std::size_t owner = gas::range_owner(ranges_, missing[i]);
-    std::size_t j = i;
-    while (j < missing.size() && ranges_[owner].contains(missing[j])) {
-      ++j;
-    }
-    const std::span<const VertexId> run(missing.data() + i, j - i);
-
-    PeerLink* peer = peers_[owner].get();
-    SNAPLE_CHECK_MSG(peer != nullptr,
-                     "no peer link to shard " + std::to_string(owner) +
+  // owner's ids form one consecutive run and the runs come in ascending
+  // owner order — one batched request per run.
+  struct Run {
+    std::size_t owner = 0;
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    PeerLink* peer = nullptr;
+    bool sent = false;
+  };
+  std::vector<Run> runs;
+  for (std::size_t i = 0; i < missing.size();) {
+    Run run;
+    run.owner = gas::range_owner(ranges_, missing[i]);
+    run.begin = i;
+    while (i < missing.size() && ranges_[run.owner].contains(missing[i])) ++i;
+    run.end = i;
+    run.peer = peers_[run.owner].get();
+    SNAPLE_CHECK_MSG(run.peer != nullptr,
+                     "no peer link to shard " + std::to_string(run.owner) +
                          " — build the cluster in remote-fetch mode");
-    try {
-      std::lock_guard<std::mutex> lock(peer->mu);
-      ByteChannel& ch = *peer->channel;
-      std::vector<std::uint8_t> req;
-      put<std::uint8_t>(req, kOpFetch);
-      put<std::uint32_t>(req, static_cast<std::uint32_t>(run.size()));
-      put_span(req, run);
-      send_buffer(ch, req);
-
-      expect_ok(ch);
-      for (std::size_t r = 0; r < run.size(); ++r) {
-        FetchedRow fetched;
-        fetched.version = get<std::uint64_t>(ch);
-        auto row = std::make_shared<HotRow>();
-        const auto sims_len = get<std::uint32_t>(ch);
-        get_array(ch, row->sims_ids, sims_len);
-        get_array(ch, row->sims_scores, sims_len);
-        const auto hop2_len = get<std::uint32_t>(ch);
-        get_array(ch, row->hop2_ids, hop2_len);
-        get_array(ch, row->hop2_scores, hop2_len);
-        fetched.row = std::move(row);
-        out.push_back(std::move(fetched));
-      }
-    } catch (const TransportError& e) {
-      // A dead peer fails this query, not the frontend link.
-      throw CheckError(std::string("peer fetch from shard ") +
-                       std::to_string(owner) + " failed: " + e.what());
-    }
-    remote_fetch_requests_.fetch_add(1, std::memory_order_relaxed);
-    remote_rows_.fetch_add(run.size(), std::memory_order_relaxed);
-    i = j;
+    runs.push_back(run);
   }
+
+  // Ascending shard order: two fetchers never wait on each other's links.
+  std::vector<std::unique_lock<std::mutex>> locks;
+  locks.reserve(runs.size());
+  for (const Run& run : runs) locks.emplace_back(run.peer->mu);
+
+  std::exception_ptr error;  // the first failure; later ones are dropped
+  const auto transport_failed = [&](const Run& run, const TransportError& e) {
+    // A dead or torn link fails this query, not the frontend link; it is
+    // closed so later fetches over it fail fast instead of desyncing.
+    run.peer->channel->close();
+    if (!error) {
+      error = std::make_exception_ptr(CheckError(
+          "peer fetch from shard " + std::to_string(run.owner) +
+          " failed: " + e.what()));
+    }
+  };
+
+  // Send every request before reading any response: the owners work
+  // concurrently, so the fetch costs the slowest round trip, not the sum.
+  std::vector<std::uint8_t> frame;
+  for (Run& run : runs) {
+    try {
+      const std::span<const VertexId> ids(missing.data() + run.begin,
+                                          run.end - run.begin);
+      begin_frame(frame, kOpFetch);
+      put<std::uint32_t>(frame, static_cast<std::uint32_t>(ids.size()));
+      put_span(frame, ids);
+      seal_frame(frame);
+      run.peer->channel->send(frame.data(), frame.size());
+      run.sent = true;
+    } catch (const TransportError& e) {
+      transport_failed(run, e);
+    } catch (const std::exception&) {
+      if (!error) error = std::current_exception();
+    }
+  }
+
+  // Drain EVERY sent request, even after an error: an unread response
+  // would be taken for the next fetch's answer on that link.
+  std::vector<FetchedRow> out(missing.size());
+  for (Run& run : runs) {
+    if (!run.sent) continue;
+    ByteChannel& ch = *run.peer->channel;
+    try {
+      const std::uint8_t status = read_op(ch);
+      Reader in(read_payload(ch, frame));
+      try {
+        throw_if_error(status, in);
+        for (std::size_t r = run.begin; r < run.end; ++r) {
+          auto row = std::make_shared<HotRow>();
+          out[r].version = read_row(in, *row);
+          out[r].row = std::move(row);
+        }
+        in.expect_end();
+      } catch (const std::exception&) {
+        // An error response or a malformed payload: the frame was read
+        // whole, so the link stays in sync.
+        if (!error) error = std::current_exception();
+        continue;
+      }
+      remote_fetch_requests_.fetch_add(1, std::memory_order_relaxed);
+      remote_rows_.fetch_add(run.end - run.begin, std::memory_order_relaxed);
+    } catch (const TransportError& e) {
+      transport_failed(run, e);
+    }
+  }
+  if (error) std::rethrow_exception(error);
   return out;
 }
 
@@ -565,7 +534,7 @@ void QueryRouter::submit(std::size_t shard,
     }
   }
   try {
-    send_buffer(*conn.channel, req);
+    conn.channel->send(req.data(), req.size());
   } catch (const TransportError& e) {
     // The write failed (channel closed, or torn mid-message — either way
     // this connection's stream is unusable): fail every queued future,
@@ -584,6 +553,9 @@ void QueryRouter::drain_loop(Connection& conn) {
   ByteChannel& ch = *conn.channel;
   for (;;) {
     Pending pending;
+    // Set once the status byte is in hand: the frame's remaining reads
+    // belong to the popped request, so a deadline that fires from here
+    // on is mid-frame and condemns the connection, never an idle retry.
     bool popped = false;
     // Whether this wait STARTED with a request outstanding: only then
     // does a full elapsed deadline indict the shard. A request that
@@ -594,7 +566,7 @@ void QueryRouter::drain_loop(Connection& conn) {
       waiting = !conn.inflight.empty();
     }
     try {
-      const auto status = get<std::uint8_t>(ch);
+      const std::uint8_t status = read_op(ch);
       {
         std::lock_guard<std::mutex> lock(conn.queue_mu);
         if (conn.inflight.empty()) {
@@ -605,29 +577,22 @@ void QueryRouter::drain_loop(Connection& conn) {
         conn.inflight.pop_front();
         popped = true;
       }
-      if (status != kStatusOk) {
-        // Error responses fail ONE request; the stream stays in sync
-        // and the connection keeps serving.
-        const auto len = get<std::uint32_t>(ch);
-        std::string message(len, '\0');
-        if (len != 0) ch.recv(message.data(), len);
-        fail(pending, std::make_exception_ptr(CheckError(message)));
-        continue;
-      }
+      std::vector<std::uint8_t> payload;
+      Reader in(read_payload(ch, payload));
       std::vector<Scored> answers;
-      answers.reserve(pending.count);
-      for (std::size_t q = 0; q < pending.count; ++q) {
-        const auto count = get<std::uint32_t>(ch);
-        std::vector<VertexId> ids;
-        std::vector<float> scores;
-        get_array(ch, ids, count);
-        get_array(ch, scores, count);
-        Scored scored;
-        scored.reserve(count);
-        for (std::uint32_t i = 0; i < count; ++i) {
-          scored.emplace_back(ids[i], scores[i]);
+      try {
+        throw_if_error(status, in);
+        answers.reserve(pending.count);
+        for (std::size_t q = 0; q < pending.count; ++q) {
+          answers.push_back(read_scored(in));
         }
-        answers.push_back(std::move(scored));
+        in.expect_end();
+      } catch (const std::exception&) {
+        // An error response (or a malformed payload) fails ONE request;
+        // the frame was read whole, so the stream stays in sync and the
+        // connection keeps serving.
+        fail(pending, std::current_exception());
+        continue;
       }
       if (auto* single =
               std::get_if<std::promise<Scored>>(&pending.result)) {
@@ -639,8 +604,8 @@ void QueryRouter::drain_loop(Connection& conn) {
     } catch (const TransportTimeout& e) {
       // The recv deadline elapsed. Silence while idle is the normal
       // state — keep waiting. Silence with requests in flight (or mid-
-      // response, after the status byte was consumed) means the shard
-      // is alive-but-dead to us: declare the connection dead so callers
+      // frame, after the status byte was consumed) means the shard is
+      // alive-but-dead to us: declare the connection dead so callers
       // get TransportError instead of waiting forever.
       if (!popped && !waiting) continue;
       const auto err = std::make_exception_ptr(TransportError(
@@ -680,9 +645,10 @@ std::future<QueryRouter::Scored> QueryRouter::topk_async(VertexId u,
   auto future = std::get<std::promise<Scored>>(pending.result).get_future();
 
   std::vector<std::uint8_t> req;
-  put<std::uint8_t>(req, kOpTopk);
+  begin_frame(req, kOpTopk);
   put<std::uint32_t>(req, u);
   put<std::uint64_t>(req, static_cast<std::uint64_t>(k));
+  seal_frame(req);
   submit(shard_of(u), req, std::move(pending));
   return future;
 }
@@ -715,12 +681,13 @@ std::vector<QueryRouter::Scored> QueryRouter::topk_batch(
     futures[s] = promise.get_future();
 
     std::vector<std::uint8_t> req;
-    put<std::uint8_t>(req, kOpBatch);
+    begin_frame(req, kOpBatch);
     put<std::uint64_t>(req, static_cast<std::uint64_t>(k));
     put<std::uint32_t>(req, static_cast<std::uint32_t>(positions[s].size()));
     for (const std::size_t i : positions[s]) {
       put<std::uint32_t>(req, users[i]);
     }
+    seal_frame(req);
     submit(s, req, std::move(pending));
     batch_requests_.fetch_add(1, std::memory_order_relaxed);
     batched_queries_.fetch_add(positions[s].size(),

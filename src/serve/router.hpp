@@ -13,9 +13,20 @@
 //
 // Wire protocol (host byte order — shard links never cross machines of
 // different architecture in this simulated tier; scores travel as raw
-// f32 bytes, which is what keeps the sharded answers bit-identical):
+// f32 bytes, which is what keeps the sharded answers bit-identical).
+// Every message, request or response, is one frame (serve/wire.hpp):
 //
-//   request  := u8 op, payload
+//   frame    := u8 op-or-status | u32 payload_len | payload
+//
+// sent with ONE send() and read as the op/status byte alone, the length,
+// then the whole payload, which a bounds-checked wire::Reader decodes.
+// payload_len is capped at wire::kMaxPayload (64 MiB): a header that
+// claims more is a TransportError (the link cannot be trusted past it),
+// and a sender refuses to build such a frame (CheckError). Every count
+// inside a payload is checked against the bytes left before anything is
+// allocated, and a payload must be consumed exactly.
+//
+//   request payloads, by op:
 //     op 1 (topk):       u32 u | u64 k
 //     op 2 (fetch_rows): u32 count | count × u32 id   (ids ascending,
 //                        every id owned by the receiving shard)
@@ -27,14 +38,17 @@
 //     op 4 (update):     u32 count | count × (u32 src | u32 dst) —
 //                        update-plane only (serve/update_router.hpp);
 //                        static shards answer with an error
-//     op 5 (barrier):    no payload — update-plane only
+//     op 5 (barrier):    empty — update-plane only
 //     op 6 (remove):     u32 count | count × (u32 src | u32 dst) —
 //                        update-plane only; tombstones the batch
 //                        instead of inserting it
-//   response := u8 status (0 = ok, 1 = error)
+//   response status: 0 = ok, 1 = error
 //     error payload: u32 len | len bytes of message — the router/fetcher
 //       rethrows it as CheckError, so a misrouted or out-of-range query
 //       surfaces to the caller exactly like QueryEngine's own check.
+//       A malformed request payload or an unknown opcode is answered the
+//       same way (counted in ShardStats::errors): the frame was read
+//       whole, so the link stays in sync and keeps serving.
 //       An op-3 batch fails or succeeds as a whole (the router vets
 //       ranges before submitting, so a batch error means a misroute).
 //     topk ok:   u32 count | count × u32 id | count × f32 score
@@ -48,6 +62,15 @@
 //     update ok: u64 version | u64 gamma_rows | u64 sims_rows
 //              | u64 hop2_rows   (this shard's owned stale rows refreshed)
 //     barrier ok: u64 version
+//
+// Overlapped peer fetches: a query (or op-3 batch) whose missing rows
+// span several owners locks those peer links in ascending shard order
+// (so concurrent fetchers cannot deadlock), sends every owner's op-2
+// request, then drains every response — the fetch costs the slowest
+// round trip, not the sum. Every sent request is drained even after an
+// error response or a bad payload, so no link is left holding an unread
+// answer; the first error is rethrown once all are in. A transport
+// failure on a peer link closes that link (its stream may be torn).
 //
 // Pipelining: the router no longer runs lockstep request/response round
 // trips. Each pooled connection pairs a submission side (requests are
@@ -88,6 +111,10 @@
 #include "serve/update_router.hpp"
 
 namespace snaple::serve {
+
+namespace wire {
+class Reader;
+}  // namespace wire
 
 /// Per-shard serving counters, readable while the cluster serves.
 struct ShardStats {
@@ -202,17 +229,22 @@ class ShardServer {
     std::shared_ptr<const HotRow> row;
   };
 
+  /// Reads frames off `ch` until EOF, answering each with one frame.
   void serve_loop(ByteChannel& ch);
-  void handle_topk(ByteChannel& ch);
-  void handle_topk_batch(ByteChannel& ch);
-  void handle_fetch(ByteChannel& ch);
-  void handle_update(ByteChannel& ch);
-  void handle_remove(ByteChannel& ch);
-  void handle_barrier(ByteChannel& ch);
-  /// Shared body of handle_update/handle_remove: read the edge list,
-  /// apply it to the live backend under update_mu_, reply with the
-  /// version + owned stale-row refresh counts.
-  void handle_edge_batch(ByteChannel& ch, bool remove);
+  /// Decodes one request payload and appends the ok payload to `out`;
+  /// throws CheckError (→ an error response) on a malformed payload, an
+  /// unknown op or a failed check.
+  void handle(std::uint8_t op, wire::Reader& in,
+              std::vector<std::uint8_t>& out);
+  void handle_topk(wire::Reader& in, std::vector<std::uint8_t>& out);
+  void handle_topk_batch(wire::Reader& in, std::vector<std::uint8_t>& out);
+  void handle_fetch(wire::Reader& in, std::vector<std::uint8_t>& out);
+  void handle_barrier(wire::Reader& in, std::vector<std::uint8_t>& out);
+  /// Ops 4 and 6: read the edge list, apply it to the live backend
+  /// under update_mu_, reply with the version + owned stale-row refresh
+  /// counts.
+  void handle_edge_batch(wire::Reader& in, std::vector<std::uint8_t>& out,
+                         bool remove);
 
   // Backend dispatch (static ModelShard vs live LiveShard).
   [[nodiscard]] bool owns(VertexId u) const;
@@ -229,9 +261,10 @@ class ShardServer {
   /// the remainder; fetched rows are inserted into the cache on the way
   /// through, under the version the owner reported.
   [[nodiscard]] ResolvedRows collect_rows(std::span<const VertexId> users);
-  /// One batched fetch per owning shard of `missing` (sorted); returns
-  /// rows parallel to `missing`. Peer transport failures surface as
-  /// CheckError (the query fails, the frontend link survives).
+  /// One batched fetch per owning shard of `missing` (sorted), all sent
+  /// before any response is read; returns rows parallel to `missing`.
+  /// Error responses and peer transport failures surface as CheckError
+  /// (the query fails, the frontend link survives).
   [[nodiscard]] std::vector<FetchedRow> fetch_remote(
       const std::vector<VertexId>& missing);
   /// This shard's current view of v's version: the live table (bumping)

@@ -7,6 +7,8 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstring>
 
@@ -126,6 +128,11 @@ class InProcessChannel final : public ByteChannel {
 // fd was produced (socketpair vs listen/accept/connect).
 // ---------------------------------------------------------------------
 
+/// Read-ahead buffer per socket end: one recv(2) of up to this many
+/// bytes serves every small read that follows until it runs dry — a
+/// wire frame's op byte, length and payload in one syscall.
+constexpr std::size_t kReadAheadBytes = 4096;
+
 class SocketChannel final : public ByteChannel {
  public:
   explicit SocketChannel(int fd) : fd_(fd) {}
@@ -159,9 +166,20 @@ class SocketChannel final : public ByteChannel {
 
   void recv(void* data, std::size_t len) override {
     auto* bytes = static_cast<std::uint8_t*>(data);
-    std::size_t got = 0;
+    // Read-ahead bytes first: they arrived before anything still queued
+    // in the socket.
+    std::size_t got = std::min(len, ahead_end_ - ahead_pos_);
+    if (got != 0) std::memcpy(bytes, ahead_.data() + ahead_pos_, got);
+    ahead_pos_ += got;
     while (got < len) {
-      const ssize_t n = ::recv(fd_, bytes + got, len - got, 0);
+      // The read-ahead buffer is empty here. A read at least its size
+      // goes straight into the caller's memory; a smaller one refills
+      // the buffer with whatever the socket holds, so the rest of this
+      // frame (and often the next one) costs no further syscall.
+      const bool direct = len - got >= ahead_.size();
+      std::uint8_t* dst = direct ? bytes + got : ahead_.data();
+      const std::size_t room = direct ? len - got : ahead_.size();
+      const ssize_t n = ::recv(fd_, dst, room, 0);
       if (n < 0) {
         if (errno == EINTR) continue;
         if (errno == EAGAIN || errno == EWOULDBLOCK) {
@@ -177,7 +195,16 @@ class SocketChannel final : public ByteChannel {
         bytes_received_.fetch_add(got, std::memory_order_relaxed);
         throw TransportError("socket closed by peer");
       }
-      got += static_cast<std::size_t>(n);
+      const auto filled = static_cast<std::size_t>(n);
+      if (direct) {
+        got += filled;
+        continue;
+      }
+      const std::size_t take = std::min(filled, len - got);
+      std::memcpy(bytes + got, ahead_.data(), take);
+      got += take;
+      ahead_pos_ = take;
+      ahead_end_ = filled;
     }
     bytes_received_.fetch_add(got, std::memory_order_relaxed);
   }
@@ -201,6 +228,12 @@ class SocketChannel final : public ByteChannel {
 
  private:
   int fd_;
+  // Read-ahead buffer, touched only by the (one) receiving thread:
+  // ahead_[ahead_pos_, ahead_end_) holds received bytes not yet handed
+  // to a caller.
+  std::array<std::uint8_t, kReadAheadBytes> ahead_;
+  std::size_t ahead_pos_ = 0;
+  std::size_t ahead_end_ = 0;
 };
 
 /// TCP_NODELAY on a connected TCP socket: the serving tier exchanges

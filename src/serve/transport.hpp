@@ -20,6 +20,23 @@
 //
 // Both ends count bytes (atomic, readable concurrently), which is how
 // ServeStats attributes network volume to queries vs remote row fetches.
+// They count bytes handed to callers, not bytes pulled off the socket.
+//
+// Read-ahead: a socket end keeps a 4 KiB buffer that one recv(2) fills
+// with whatever the kernel holds; later reads are served from it until
+// it runs dry, and a read at least the buffer's size goes straight into
+// the caller's memory. A wire frame's three reads (serve/wire.hpp: op
+// byte, length, payload) therefore cost about one syscall, and
+// back-to-back messages queued before the reader wakes come out of one
+// fill. The contract below is unchanged by it: all-or-throw, deadlines
+// (a recv that consumed nothing may be retried), and queued bytes
+// readable after the peer closed, buffered ones included.
+//
+// Decorators: read-ahead lives below this interface, so a ByteChannel
+// that wraps another (the benchmark's TracingChannel) sees exactly the
+// calls the wire layer makes — one send() per message, a 1-byte recv
+// opening each message and no other 1-byte recv — and stitches traced
+// runs on those invariants (serve/wire.hpp keeps them).
 //
 // Close semantics: close() wakes any blocked peer, whose next recv()
 // throws TransportError — the cluster's shutdown signal (there is no

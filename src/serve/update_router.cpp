@@ -33,22 +33,25 @@ std::string UpdateRouter::exchange(const std::vector<std::uint8_t>& req,
   payload.assign(links_.size() * per_link, 0);
   try {
     // Fan out first, drain second: the shards work concurrently.
-    for (auto& link : links_) send_buffer(*link, req);
+    for (auto& link : links_) link->send(req.data(), req.size());
 
     std::string error;
     std::size_t ok_count = 0;
+    std::vector<std::uint8_t> frame;
     for (std::size_t s = 0; s < links_.size(); ++s) {
       ByteChannel& ch = *links_[s];
-      if (get<std::uint8_t>(ch) == kStatusOk) {
-        ++ok_count;
+      const std::uint8_t status = read_op(ch);
+      Reader in(read_payload(ch, frame));
+      try {
+        throw_if_error(status, in);
         for (std::size_t i = 0; i < per_link; ++i) {
-          payload[s * per_link + i] = get<std::uint64_t>(ch);
+          payload[s * per_link + i] = in.get<std::uint64_t>();
         }
-      } else {
-        const auto len = get<std::uint32_t>(ch);
-        std::string message(len, '\0');
-        if (len != 0) ch.recv(message.data(), len);
-        if (error.empty()) error = std::move(message);
+        in.expect_end();
+        ++ok_count;
+      } catch (const CheckError& e) {
+        // The frame was read whole: this link stays in sync either way.
+        if (error.empty()) error = e.what();
       }
     }
     // Deterministic validation against identical union graphs: all
@@ -72,13 +75,11 @@ std::string UpdateRouter::exchange(const std::vector<std::uint8_t>& req,
 UpdateRouter::ApplyResult UpdateRouter::exchange_edges(
     std::uint8_t op, std::span<const Edge> batch) {
   std::vector<std::uint8_t> req;
-  req.reserve(5 + batch.size() * 8);
-  put<std::uint8_t>(req, op);
+  req.reserve(kHeaderBytes + sizeof(std::uint32_t) + batch.size_bytes());
+  begin_frame(req, op);
   put<std::uint32_t>(req, static_cast<std::uint32_t>(batch.size()));
-  for (const Edge& e : batch) {
-    put<std::uint32_t>(req, e.src);
-    put<std::uint32_t>(req, e.dst);
-  }
+  put_span(req, batch);  // Edge is {u32 src, u32 dst}: the wire layout
+  seal_frame(req);
 
   std::vector<std::uint64_t> payload;
   const std::string error = exchange(req, /*per_link=*/4, payload);
@@ -126,7 +127,8 @@ std::uint64_t UpdateRouter::barrier() {
   std::lock_guard<std::mutex> lock(mu_);
 
   std::vector<std::uint8_t> req;
-  put<std::uint8_t>(req, kOpBarrier);
+  begin_frame(req, kOpBarrier);
+  seal_frame(req);
 
   std::vector<std::uint64_t> payload;
   const std::string error = exchange(req, /*per_link=*/1, payload);

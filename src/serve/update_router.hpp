@@ -109,9 +109,10 @@ class UpdateRouter {
   [[nodiscard]] UpdateStats stats() const;
 
  private:
-  /// Sends `req` on every link, then reads one response per link into
-  /// `payload` u64s (`per_link` of them each). Returns the first error
-  /// message, empty if all ok — after draining EVERY link, so the
+  /// Sends the sealed frame `req` on every link, then reads one response
+  /// frame per link into `payload` u64s (`per_link` of them each).
+  /// Returns the first error message (an error response or a malformed
+  /// ok payload), empty if all ok — after draining EVERY link, so the
   /// streams stay in sync whatever the outcome.
   [[nodiscard]] std::string exchange(const std::vector<std::uint8_t>& req,
                                      std::size_t per_link,

@@ -170,16 +170,59 @@ TEST(Transport, CloseWakesBlockedReaderAndFailsFurtherUse) {
 }
 
 TEST(Transport, QueuedBytesReadableAfterPeerCloses) {
-  // Socket EOF semantics: data sent before close must still arrive.
-  auto pair = serve::make_channel_pair(TransportKind::kInProcess);
-  const std::uint32_t value = 0xabcd1234;
-  pair.client->send(&value, sizeof(value));
-  pair.client->close();
-  std::uint32_t got = 0;
-  pair.server->recv(&got, sizeof(got));
-  EXPECT_EQ(got, value);
-  char extra;
-  EXPECT_THROW(pair.server->recv(&extra, 1), TransportError);
+  // Socket EOF semantics: data sent before close must still arrive —
+  // also when a read-ahead buffer already holds it.
+  for (const auto kind : kTransports) {
+    auto pair = serve::make_channel_pair(kind);
+    const std::uint32_t value = 0xabcd1234;
+    const std::uint16_t tail = 0x5a5a;
+    pair.client->send(&value, sizeof(value));
+    pair.client->send(&tail, sizeof(tail));
+    pair.client->close();
+    std::uint32_t got = 0;
+    pair.server->recv(&got, sizeof(got));
+    EXPECT_EQ(got, value) << serve::to_string(kind);
+    std::uint16_t got_tail = 0;
+    pair.server->recv(&got_tail, sizeof(got_tail));
+    EXPECT_EQ(got_tail, tail) << serve::to_string(kind);
+    char extra;
+    EXPECT_THROW(pair.server->recv(&extra, 1), TransportError)
+        << serve::to_string(kind);
+    EXPECT_EQ(pair.server->bytes_received(), sizeof(value) + sizeof(tail));
+  }
+}
+
+TEST(Transport, BackToBackMessagesQueuedBeforeTheReaderWakes) {
+  // Every message is queued before the first recv, so one socket read
+  // can return several of them at once: reads smaller than the
+  // read-ahead buffer, larger than it, and straddling its refills must
+  // each get exactly their own bytes, in order.
+  const std::size_t sizes[] = {1, 4, 5000, 3, 4096, 2, 9000, 1, 4095, 8};
+  for (const auto kind : kTransports) {
+    auto pair = serve::make_channel_pair(kind);
+    std::vector<std::vector<std::uint8_t>> sent;
+    std::uint8_t next = 0;
+    std::size_t total = 0;
+    for (const std::size_t size : sizes) {
+      std::vector<std::uint8_t> msg(size);
+      for (auto& byte : msg) byte = next++;
+      pair.client->send(msg.data(), msg.size());
+      sent.push_back(std::move(msg));
+      total += size;
+    }
+    for (const auto& msg : sent) {
+      std::vector<std::uint8_t> got(msg.size());
+      pair.server->recv(got.data(), got.size());
+      ASSERT_EQ(got, msg) << serve::to_string(kind) << " size "
+                          << msg.size();
+    }
+    EXPECT_EQ(pair.server->bytes_received(), total) << serve::to_string(kind);
+    // Drained exactly: nothing more is readable.
+    pair.server->set_recv_timeout(std::chrono::milliseconds(20));
+    char extra;
+    EXPECT_THROW(pair.server->recv(&extra, 1), serve::TransportTimeout)
+        << serve::to_string(kind);
+  }
 }
 
 TEST(Transport, TcpListenerHandsOutEphemeralPortsAndConnects) {
@@ -564,6 +607,113 @@ TEST(ShardedServing, UnresponsiveShardFailsInflightAndGoesDead) {
   // immediately instead of burning another deadline each.
   EXPECT_THROW((void)router.topk(2), TransportError);
   (void)link.server;  // kept alive the whole time: silence, not EOF
+
+  // A shard that STARTS a response — its status byte — and then goes
+  // silent past the deadline. The drain thread was idle when that byte
+  // arrived, so only having consumed it tells this deadline apart from
+  // idle silence: it fires mid-frame, must fail every in-flight future
+  // and condemn the connection. Were it retried like an idle timeout,
+  // the rest of the frame, arriving late, would be read out of frame:
+  // its first byte as a status, failing a future with CheckError.
+  for (const auto kind : kTransports) {
+    auto half = serve::make_channel_pair(kind);
+    std::vector<std::vector<std::unique_ptr<ByteChannel>>> pool2(1);
+    pool2[0].push_back(std::move(half.client));
+    serve::QueryRouter stalled({gas::VertexRange{0, n}}, std::move(pool2),
+                               300ms);
+    std::this_thread::sleep_for(20ms);  // the drain thread waits idle
+    auto g1 = stalled.topk_async(0);
+    auto g2 = stalled.topk_async(1);
+    const std::uint8_t ok_status = 0;
+    half.server->send(&ok_status, 1);
+    // Past the deadline, well inside the window a wrongful idle retry
+    // would wait: the frame's remaining bytes (an empty topk answer).
+    std::this_thread::sleep_for(450ms);
+    const std::uint32_t rest[2] = {sizeof(std::uint32_t), 0};
+    try {
+      half.server->send(rest, sizeof(rest));
+    } catch (const TransportError&) {
+      // The router already closed its end: expected.
+    }
+    ASSERT_EQ(g1.wait_for(10s), std::future_status::ready)
+        << serve::to_string(kind);
+    ASSERT_EQ(g2.wait_for(10s), std::future_status::ready)
+        << serve::to_string(kind);
+    EXPECT_THROW((void)g1.get(), TransportError) << serve::to_string(kind);
+    EXPECT_THROW((void)g2.get(), TransportError) << serve::to_string(kind);
+    EXPECT_THROW((void)stalled.topk(2), TransportError)
+        << serve::to_string(kind);
+  }
+}
+
+TEST(ShardedServing, PeerErrorInAFanOutFailsOneQueryAndDrainsEveryLink) {
+  // Shard 0 fetches its missing rows from shards 1 and 2 in one
+  // overlapped fan-out: both requests are sent before either response is
+  // read. Shard 1's server disagrees with the layout shard 0 holds — it
+  // owns only the front of range 1 — so a query that needs a row from
+  // range 1's tail gets an error from shard 1 while shard 2 answers. That
+  // query must fail with CheckError, and shard 2's answer must still be
+  // drained: every later query, over both peer links, equals the engine.
+  const auto model = fit_model(5, 2);
+  const QueryEngine engine(model);
+  const VertexId n = model->num_vertices();
+  const auto ranges = serve::plan_shard_ranges(*model, 3);
+  const gas::VertexRange r1 = ranges[1];
+  const VertexId cut = r1.begin + (r1.end - r1.begin) / 2;
+  const ModelShard front = ModelShard::build(*model, ranges[0], false);
+
+  // Classify shard 0's users by which owners their missing rows hit.
+  std::vector<VertexId> failing, passing;
+  for (VertexId u = ranges[0].begin; u < ranges[0].end; ++u) {
+    bool head = false, tail = false, r2 = false;
+    for (const VertexId v : front.missing_rows(u)) {
+      head |= r1.contains(v) && v < cut;
+      tail |= r1.contains(v) && v >= cut;
+      r2 |= ranges[2].contains(v);
+    }
+    if (tail && r2) failing.push_back(u);
+    if (!tail && head && r2) passing.push_back(u);
+  }
+  ASSERT_FALSE(failing.empty());
+  ASSERT_FALSE(passing.empty());
+
+  for (const auto kind : kTransports) {
+    serve::ShardServer server0(ModelShard::build(*model, ranges[0], false),
+                               ranges);
+    serve::ShardServer server1(
+        ModelShard::build(*model, {r1.begin, cut}, false), ranges);
+    serve::ShardServer server2(ModelShard::build(*model, ranges[2], false),
+                               ranges);
+    for (const std::size_t j : {1u, 2u}) {
+      auto link = serve::make_channel_pair(kind);
+      (j == 1 ? server1 : server2)
+          .serve(std::move(link.server), /*frontend=*/false);
+      server0.connect_peer(j, std::move(link.client));
+    }
+    auto front_link = serve::make_channel_pair(kind);
+    server0.serve(std::move(front_link.server));
+    std::vector<std::vector<std::unique_ptr<ByteChannel>>> pool(1);
+    pool[0].push_back(std::move(front_link.client));
+    serve::QueryRouter router({gas::VertexRange{0, n}}, std::move(pool));
+
+    // Interleaved, so every failed fan-out is followed by queries that
+    // would read its undrained response if one were left behind.
+    const std::size_t rounds = std::min<std::size_t>(failing.size(), 20);
+    for (std::size_t i = 0; i < rounds; ++i) {
+      EXPECT_THROW((void)router.topk(failing[i]), CheckError)
+          << serve::to_string(kind) << " u=" << failing[i];
+      const VertexId u = passing[i % passing.size()];
+      EXPECT_EQ(router.topk(u), engine.topk(u))
+          << serve::to_string(kind) << " u=" << u;
+    }
+    for (const VertexId u : passing) {
+      ASSERT_EQ(router.topk(u), engine.topk(u))
+          << serve::to_string(kind) << " u=" << u;
+    }
+    EXPECT_EQ(server0.stats().errors, rounds) << serve::to_string(kind);
+    EXPECT_EQ(server1.stats().errors, rounds) << serve::to_string(kind);
+    router.close();
+  }
 }
 
 TEST(ShardedServing, IdleDeadlineDoesNotKillHealthyConnections) {
